@@ -30,7 +30,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "ext_skew",
-        "extension: leases × hub placement × skew vs a quorum baseline",
+        "extension: hub placement × skew × locality vs a quorum baseline",
     ),
     (
         "ext_par",

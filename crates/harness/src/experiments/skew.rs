@@ -1,67 +1,45 @@
-//! `ext_skew` — beating the DAG under skew: holder leases × hub
-//! placement × key-popularity skew, against a quorum floor.
+//! `ext_skew` — the DAG under skew: hub placement × key-popularity
+//! skew × workload locality, against a quorum floor.
 //!
 //! The lock-space sweeps (`ext_lock`) showed the failure mode: under
 //! Zipf-skewed key popularity the hot keys' tokens ping-pong between
 //! contending nodes and mean wait blows up by ~6× over uniform demand.
-//! This experiment measures the two optimisations that close that gap
-//! and the baseline that cannot:
+//! This experiment measures what closes that gap and the baseline that
+//! cannot:
 //!
-//! * **Holder leases** ([`dmx_lockspace::LeaseConfig`]): a node whose
-//!   own next request for a key arrives within the lease window keeps
-//!   the privilege — zero messages, zero DAG hops — until the window
-//!   closes or a queued remote REQUEST would wait past the fairness
-//!   budget.
+//! * **Hot-tenant demand** ([`KeyedAffinity`]): each key has a home node
+//!   issuing most of its demand. Path reversal parks each hot key's
+//!   token at its tenant, so back-to-back claims re-grant locally with
+//!   zero messages.
 //! * **Skew-aware hub placement** ([`Placement::Profile`]): each key's
 //!   orientation DAG is seeded at the node a popularity profile names
 //!   as its hottest, so the *first* acquisition is already local.
 //! * **Naimi–Thiare quorum baseline**
 //!   ([`dmx_baselines::naimi_thiare`]): the flat `3(K−1)`-per-entry
 //!   floor quorum algorithms pay however local the demand is — the
-//!   structural reason a path-reversal DAG plus leases wins under skew.
+//!   structural reason a path-reversal DAG wins under skew.
 //!
 //! Two workload shapes per cell: symmetric [`KeyedThinkTime`] (every
 //! node draws from the same key distribution — continuity with
-//! `ext_lock`), and [`KeyedAffinity`] (each key has a home node issuing
-//! most of its demand — the skewed-*and*-local shape leases and
-//! placement are designed for). The split matters because the two
+//! `ext_lock`), and [`KeyedAffinity`] (the skewed-*and*-local shape
+//! placement is designed for). The split matters because the two
 //! regimes have different physics: symmetric skew is a queueing bound
 //! no protocol can remove (the hot key's cross-node holds serialize
 //! regardless of who carries the token — see [`SkewGap`] for the
 //! arithmetic), while locality-correlated skew is exactly the regime
-//! path reversal + placement + leases turn into near-free local
-//! re-grants. Per-key safety and liveness oracles verify every cell,
-//! leases included.
+//! path reversal + placement turn into near-free local re-grants.
+//! Per-key safety and liveness oracles verify every cell.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use dmx_lockspace::{LeaseConfig, LockSpace, LockSpaceConfig, LockSpaceMonitor, Placement};
+use dmx_lockspace::{LockSpace, LockSpaceConfig, LockSpaceMonitor, Placement};
 use dmx_simnet::{Engine, EngineConfig, LatencyModel, Time};
 use dmx_topology::{NodeId, Tree};
 use dmx_workload::{KeyDist, KeyedAffinity, KeyedThinkTime, KeyedWorkload, ThinkTime};
 
 use super::lock_scaling::SKEWS;
 use crate::{run_algorithm, Algorithm, Scenario, Table};
-
-/// Lease window (ticks) the sweep runs with: the tightest setting that
-/// still catches a hot tenant's back-to-back draws (hold 1t, think 0t →
-/// the next local request lands within 2t). Wider windows were probed
-/// (4t/8t, 8t/16t) and retain marginally more grants on skewed demand
-/// (msgs/grant 1.07 vs 1.10) but idle the token long enough to tax the
-/// *uniform* affinity cells by 5–10% mean wait; 2t/4t keeps those cells
-/// within noise.
-pub const LEASE_WINDOW: u64 = 2;
-
-/// Fairness budget (ticks): the longest a queued remote REQUEST may
-/// wait behind a leased holder before the lease is broken.
-pub const LEASE_BUDGET: u64 = 4;
-
-/// The lease configuration every lease-on cell uses.
-pub const LEASE: LeaseConfig = LeaseConfig {
-    window: LEASE_WINDOW,
-    fairness_budget: LEASE_BUDGET,
-};
 
 /// Home-node share of each key's demand in the affinity cells.
 pub const AFFINITY: f64 = 0.9;
@@ -128,12 +106,8 @@ pub struct SkewMeasurement {
     /// Placement label (`"modulo"` / `"profile"`; `"quorum"` for the
     /// baseline).
     pub placement: &'static str,
-    /// Lease window in ticks (0 = leases off).
-    pub lease_window: u64,
     /// Critical-section entries completed.
     pub grants: u64,
-    /// Grants served locally under a holder lease (zero messages).
-    pub lease_grants: u64,
     /// Keyed (pre-batching) messages carried; wire messages for the
     /// quorum baseline.
     pub keyed_messages: u64,
@@ -147,16 +121,6 @@ pub struct SkewMeasurement {
     pub p99_wait_ticks: u64,
     /// Wall-clock seconds for the cell.
     pub elapsed_secs: f64,
-}
-
-impl SkewMeasurement {
-    /// Share of grants served under a lease, in percent.
-    pub fn leased_pct(&self) -> f64 {
-        if self.grants == 0 {
-            return 0.0;
-        }
-        100.0 * self.lease_grants as f64 / self.grants as f64
-    }
 }
 
 /// Runs one multiplexed DAG cell and measures it.
@@ -174,7 +138,6 @@ pub fn run_dag_cell(
     dist: KeyDist,
     load: Load,
     hubs: Hubs,
-    lease: LeaseConfig,
     rounds: u32,
     seed: u64,
 ) -> SkewMeasurement {
@@ -208,7 +171,6 @@ pub fn run_dag_cell(
         placement,
         hold: Time(1),
         batching: true,
-        lease,
         ..LockSpaceConfig::default()
     };
     let (nodes, monitor) = LockSpace::cluster(&tree, config, workload.as_ref());
@@ -220,7 +182,7 @@ pub fn run_dag_cell(
     engine.run_to_quiescence().expect("skew cell must quiesce");
     monitor
         .check_quiescent()
-        .expect("per-key safety and liveness verified, leases included");
+        .expect("per-key safety and liveness verified");
     let elapsed_secs = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
     measurement_from(
         &monitor,
@@ -229,7 +191,6 @@ pub fn run_dag_cell(
         skew,
         load.label(),
         hubs.label(),
-        lease.window,
         elapsed_secs,
     )
 }
@@ -242,7 +203,6 @@ fn measurement_from(
     skew: &'static str,
     workload: &'static str,
     placement: &'static str,
-    lease_window: u64,
     elapsed_secs: f64,
 ) -> SkewMeasurement {
     let rollup = monitor.rollup();
@@ -253,9 +213,7 @@ fn measurement_from(
         skew,
         workload,
         placement,
-        lease_window,
         grants: rollup.grants,
-        lease_grants: monitor.lease_grants(),
         keyed_messages: rollup.messages,
         msgs_per_grant: rollup.messages_per_grant,
         mean_wait_ticks: rollup.mean_wait_ticks,
@@ -293,9 +251,7 @@ pub fn run_quorum_cell(n: usize, rounds: u32, seed: u64) -> SkewMeasurement {
         skew: "flat",
         workload: "think",
         placement: "quorum",
-        lease_window: 0,
         grants: metrics.cs_entries,
-        lease_grants: 0,
         keyed_messages: metrics.messages_total,
         msgs_per_grant: metrics.messages_per_entry(),
         mean_wait_ticks: metrics.mean_wait_ticks().unwrap_or(0.0),
@@ -305,9 +261,8 @@ pub fn run_quorum_cell(n: usize, rounds: u32, seed: u64) -> SkewMeasurement {
     }
 }
 
-/// The six DAG cells of one `(keys, skew)` grid point, in table order:
-/// think × {off, on}, affinity/modulo × {off, on}, affinity/profile ×
-/// {off, on}.
+/// The three DAG cells of one `(keys, skew)` grid point, in table
+/// order: think/modulo, affinity/modulo, affinity/profile.
 pub fn grid_point(
     n: usize,
     keys: u32,
@@ -315,29 +270,23 @@ pub fn grid_point(
     dist: KeyDist,
     rounds: u32,
 ) -> Vec<SkewMeasurement> {
-    let mut out = Vec::with_capacity(6);
-    for (load, hubs) in [
+    [
         (Load::Think, Hubs::Modulo),
         (Load::Affinity, Hubs::Modulo),
         (Load::Affinity, Hubs::Profile),
-    ] {
-        for lease in [LeaseConfig::OFF, LEASE] {
-            out.push(run_dag_cell(
-                n, keys, skew, dist, load, hubs, lease, rounds, 42,
-            ));
-        }
-    }
-    out
+    ]
+    .into_iter()
+    .map(|(load, hubs)| run_dag_cell(n, keys, skew, dist, load, hubs, rounds, 42))
+    .collect()
 }
 
-/// The sweep: `keys ∈ key_counts × skew ∈ {uniform, zipf-1.1}`, six DAG
-/// cells each, plus the quorum baseline row.
+/// The sweep: `keys ∈ key_counts × skew ∈ {uniform, zipf-1.1}`, three
+/// DAG cells each, plus the quorum baseline row.
 pub fn run(n: usize, key_counts: &[u32], rounds: u32) -> Table {
     let mut table = Table::new(
         &format!(
-            "ext_skew — leases × placement × skew on N = {n} \
-             (lease {LEASE_WINDOW}t / budget {LEASE_BUDGET}t, affinity {AFFINITY}, \
-             per-key safety checked)"
+            "ext_skew — placement × skew on N = {n} \
+             (affinity {AFFINITY}, per-key safety checked)"
         ),
         &[
             "algorithm",
@@ -345,9 +294,7 @@ pub fn run(n: usize, key_counts: &[u32], rounds: u32) -> Table {
             "skew",
             "workload",
             "placement",
-            "lease",
             "grants",
-            "leased",
             "msgs/grant",
             "mean wait",
             "p50",
@@ -361,13 +308,7 @@ pub fn run(n: usize, key_counts: &[u32], rounds: u32) -> Table {
             m.skew.to_string(),
             m.workload.to_string(),
             m.placement.to_string(),
-            if m.lease_window == 0 {
-                "off".into()
-            } else {
-                format!("{}t", m.lease_window)
-            },
             m.grants.to_string(),
-            format!("{:.0}%", m.leased_pct()),
             format!("{:.2}", m.msgs_per_grant),
             format!("{:.1}", m.mean_wait_ticks),
             m.p50_wait_ticks.to_string(),
@@ -387,8 +328,8 @@ pub fn run(n: usize, key_counts: &[u32], rounds: u32) -> Table {
 
 /// Gap-closure summary at one key count: how much of the skew penalty
 /// (the symmetric-zipf mean/p99 wait over symmetric-uniform, both
-/// lease-off — PR 7's 60.9-vs-9.8 baseline cells) the full stack
-/// (locality-aware demand + profile placement + holder leases) closes.
+/// modulo-placed — PR 7's 60.9-vs-9.8 baseline cells) the full stack
+/// (locality-aware demand + profile placement) closes.
 ///
 /// Why the baseline is the *symmetric* cell and the stack the
 /// *affinity* cell: symmetric popularity skew is queueing-bound — at 64
@@ -399,35 +340,30 @@ pub fn run(n: usize, key_counts: &[u32], rounds: u32) -> Table {
 /// exactly the 50%-closure point. No token scheme can close that; the
 /// closable regime is skew *correlated with locality* (each hot key's
 /// demand concentrated at a hot tenant), which is what [`KeyedAffinity`]
-/// models and what leases + placement serve. The suite publishes all
-/// twelve cells per key count so the decomposition stays transparent.
+/// models and what path reversal + placement serve. The suite publishes
+/// all six cells per key count so the decomposition stays transparent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkewGap {
     /// Key count the summary is computed at.
     pub keys: u32,
-    /// think/modulo/lease-off, uniform — the target, and the cell that
-    /// must not move ("uniform within noise of today").
+    /// think/modulo, uniform — the target.
     pub uniform_base_mean: f64,
-    /// think/modulo/lease-on, uniform — leases must be free here.
-    pub uniform_lease_mean: f64,
-    /// think/modulo/lease-off, zipf — the unmodified-DAG baseline.
+    /// think/modulo, zipf — the unmodified-DAG baseline.
     pub zipf_base_mean: f64,
-    /// affinity/profile/lease-on, zipf — the full stack.
+    /// affinity/profile, zipf — the full stack.
     pub stack_mean: f64,
-    /// p99 wait for the same four cells.
+    /// p99 wait for the same three cells.
     pub uniform_base_p99: u64,
-    /// p99, think/modulo/lease-on, uniform.
-    pub uniform_lease_p99: u64,
-    /// p99, think/modulo/lease-off, zipf.
+    /// p99, think/modulo, zipf.
     pub zipf_base_p99: u64,
-    /// p99, affinity/profile/lease-on, zipf.
+    /// p99, affinity/profile, zipf.
     pub stack_p99: u64,
-    /// Mean wait, affinity/modulo/lease-off, uniform — the stack's own
-    /// uniform floor…
-    pub affinity_uniform_off_mean: f64,
-    /// …and affinity/profile/lease-on, uniform: leases + placement must
-    /// stay near-free on unskewed affinity demand too.
-    pub affinity_uniform_on_mean: f64,
+    /// Mean wait, affinity/modulo, uniform — the stack's own uniform
+    /// floor…
+    pub affinity_uniform_modulo_mean: f64,
+    /// …and affinity/profile, uniform: placement must stay near-free on
+    /// unskewed affinity demand too.
+    pub affinity_uniform_profile_mean: f64,
 }
 
 impl SkewGap {
@@ -446,20 +382,13 @@ impl SkewGap {
         )
     }
 
-    /// Mean-wait movement of today's uniform cell with leases on, in
-    /// percent (negative = leases *improved* it). The "leases are free
-    /// when idle" guard.
-    pub fn uniform_regression_pct(&self) -> f64 {
-        regression(self.uniform_base_mean, self.uniform_lease_mean)
-    }
-
-    /// Mean-wait movement of the *affinity* uniform cell under the full
-    /// stack, in percent — placement + leases must not tax unskewed
-    /// local demand either.
+    /// Mean-wait movement of the *affinity* uniform cell under profile
+    /// placement, in percent — placement must not tax unskewed local
+    /// demand.
     pub fn affinity_uniform_regression_pct(&self) -> f64 {
         regression(
-            self.affinity_uniform_off_mean,
-            self.affinity_uniform_on_mean,
+            self.affinity_uniform_modulo_mean,
+            self.affinity_uniform_profile_mean,
         )
     }
 }
@@ -481,36 +410,32 @@ fn regression(off: f64, on: f64) -> f64 {
 
 /// Extracts the [`SkewGap`] for `keys` from a suite's cells: the
 /// symmetric think cells anchor the baseline and the target, the
-/// affinity/profile/lease-on cell is the full stack.
+/// affinity/profile cell is the full stack.
 pub fn gap(results: &[SkewMeasurement], keys: u32) -> Option<SkewGap> {
-    let find = |skew: &str, workload: &str, placement: &str, lease_on: bool| {
+    let find = |skew: &str, workload: &str, placement: &str| {
         results.iter().find(move |m| {
             m.algorithm == "dag"
                 && m.keys == keys
                 && m.skew == skew
                 && m.workload == workload
                 && m.placement == placement
-                && (m.lease_window > 0) == lease_on
         })
     };
-    let uniform_base = find("uniform", "think", "modulo", false)?;
-    let uniform_lease = find("uniform", "think", "modulo", true)?;
-    let zipf_base = find("zipf-1.1", "think", "modulo", false)?;
-    let stack = find("zipf-1.1", "affinity", "profile", true)?;
-    let affinity_uniform_off = find("uniform", "affinity", "modulo", false)?;
-    let affinity_uniform_on = find("uniform", "affinity", "profile", true)?;
+    let uniform_base = find("uniform", "think", "modulo")?;
+    let zipf_base = find("zipf-1.1", "think", "modulo")?;
+    let stack = find("zipf-1.1", "affinity", "profile")?;
+    let affinity_uniform_modulo = find("uniform", "affinity", "modulo")?;
+    let affinity_uniform_profile = find("uniform", "affinity", "profile")?;
     Some(SkewGap {
         keys,
         uniform_base_mean: uniform_base.mean_wait_ticks,
-        uniform_lease_mean: uniform_lease.mean_wait_ticks,
         zipf_base_mean: zipf_base.mean_wait_ticks,
         stack_mean: stack.mean_wait_ticks,
         uniform_base_p99: uniform_base.p99_wait_ticks,
-        uniform_lease_p99: uniform_lease.p99_wait_ticks,
         zipf_base_p99: zipf_base.p99_wait_ticks,
         stack_p99: stack.p99_wait_ticks,
-        affinity_uniform_off_mean: affinity_uniform_off.mean_wait_ticks,
-        affinity_uniform_on_mean: affinity_uniform_on.mean_wait_ticks,
+        affinity_uniform_modulo_mean: affinity_uniform_modulo.mean_wait_ticks,
+        affinity_uniform_profile_mean: affinity_uniform_profile.mean_wait_ticks,
     })
 }
 
@@ -522,17 +447,15 @@ pub fn bench_suite() -> Vec<SkewMeasurement> {
         for (skew, dist) in SKEWS {
             for m in grid_point(127, keys, skew, dist, rounds) {
                 eprintln!(
-                    "skew: keys={:<5} {:>8} {:>8}/{:<7} lease={} mean {:>7.1} p99 {:>5} \
-                     msgs/grant {:>6.2} leased {:>3.0}%",
+                    "skew: keys={:<5} {:>8} {:>8}/{:<7} mean {:>7.1} p99 {:>5} \
+                     msgs/grant {:>6.2}",
                     m.keys,
                     m.skew,
                     m.workload,
                     m.placement,
-                    m.lease_window,
                     m.mean_wait_ticks,
                     m.p99_wait_ticks,
                     m.msgs_per_grant,
-                    m.leased_pct()
                 );
                 results.push(m);
             }
@@ -552,16 +475,13 @@ pub fn bench_suite() -> Vec<SkewMeasurement> {
 /// suite — no external JSON dependency).
 pub fn results_json(results: &[SkewMeasurement]) -> String {
     let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "    \"lease_window\": {LEASE_WINDOW}, \"fairness_budget\": {LEASE_BUDGET}, \
-         \"affinity\": {AFFINITY},\n"
-    ));
+    out.push_str(&format!("    \"affinity\": {AFFINITY},\n"));
     out.push_str("    \"cells\": [\n");
     for (i, m) in results.iter().enumerate() {
         out.push_str(&format!(
             "      {{\"algorithm\": \"{}\", \"n\": {}, \"keys\": {}, \"skew\": \"{}\", \
-             \"workload\": \"{}\", \"placement\": \"{}\", \"lease_window\": {}, \
-             \"grants\": {}, \"lease_grants\": {}, \"keyed_messages\": {}, \
+             \"workload\": \"{}\", \"placement\": \"{}\", \
+             \"grants\": {}, \"keyed_messages\": {}, \
              \"msgs_per_grant\": {:.2}, \"mean_wait_ticks\": {:.2}, \
              \"p50_wait_ticks\": {}, \"p99_wait_ticks\": {}, \"elapsed_secs\": {:.6}}}{}\n",
             m.algorithm,
@@ -570,9 +490,7 @@ pub fn results_json(results: &[SkewMeasurement]) -> String {
             m.skew,
             m.workload,
             m.placement,
-            m.lease_window,
             m.grants,
-            m.lease_grants,
             m.keyed_messages,
             m.msgs_per_grant,
             m.mean_wait_ticks,
@@ -596,27 +514,24 @@ pub fn results_json(results: &[SkewMeasurement]) -> String {
         .collect();
     for (i, g) in gaps.iter().enumerate() {
         out.push_str(&format!(
-            "\n      {{\"keys\": {}, \"uniform_base_mean\": {:.2}, \"uniform_lease_mean\": {:.2}, \
+            "\n      {{\"keys\": {}, \"uniform_base_mean\": {:.2}, \
              \"zipf_base_mean\": {:.2}, \"stack_mean\": {:.2}, \
-             \"uniform_base_p99\": {}, \"uniform_lease_p99\": {}, \
-             \"zipf_base_p99\": {}, \"stack_p99\": {}, \
-             \"affinity_uniform_off_mean\": {:.2}, \"affinity_uniform_on_mean\": {:.2}, \
+             \"uniform_base_p99\": {}, \"zipf_base_p99\": {}, \"stack_p99\": {}, \
+             \"affinity_uniform_modulo_mean\": {:.2}, \
+             \"affinity_uniform_profile_mean\": {:.2}, \
              \"gap_closed_mean_pct\": {:.1}, \"gap_closed_p99_pct\": {:.1}, \
-             \"uniform_regression_pct\": {:.1}, \"affinity_uniform_regression_pct\": {:.1}}}{}",
+             \"affinity_uniform_regression_pct\": {:.1}}}{}",
             g.keys,
             g.uniform_base_mean,
-            g.uniform_lease_mean,
             g.zipf_base_mean,
             g.stack_mean,
             g.uniform_base_p99,
-            g.uniform_lease_p99,
             g.zipf_base_p99,
             g.stack_p99,
-            g.affinity_uniform_off_mean,
-            g.affinity_uniform_on_mean,
+            g.affinity_uniform_modulo_mean,
+            g.affinity_uniform_profile_mean,
             g.closed_mean_pct(),
             g.closed_p99_pct(),
-            g.uniform_regression_pct(),
             g.affinity_uniform_regression_pct(),
             if i + 1 == gaps.len() { "" } else { "," }
         ));
@@ -633,21 +548,20 @@ mod tests {
     fn stack_closes_most_of_the_symmetric_skew_gap_at_test_scale() {
         // The acceptance property, shrunk: 15 nodes, 16 keys. The
         // symmetric zipf cell is the baseline penalty; hot-tenant demand
-        // plus placement plus leases must win back at least half of the
-        // distance to the symmetric-uniform target.
+        // plus placement must win back at least half of the distance to
+        // the symmetric-uniform target.
         let zipf = grid_point(15, 16, "zipf-1.1", KeyDist::Zipf { exponent: 1.1 }, 60);
         let uniform = grid_point(15, 16, "uniform", KeyDist::Uniform, 60);
         let all: Vec<SkewMeasurement> = zipf.into_iter().chain(uniform).collect();
         let g = gap(&all, 16).expect("grid covers the gap cells");
         eprintln!(
             "test-scale gap: baseline {:.2} -> stack {:.2} (target {:.2}), \
-             mean {:.0}% p99 {:.0}% uniform {:+.1}% affinity-uniform {:+.1}%",
+             mean {:.0}% p99 {:.0}% affinity-uniform {:+.1}%",
             g.zipf_base_mean,
             g.stack_mean,
             g.uniform_base_mean,
             g.closed_mean_pct(),
             g.closed_p99_pct(),
-            g.uniform_regression_pct(),
             g.affinity_uniform_regression_pct()
         );
         assert!(
@@ -658,13 +572,7 @@ mod tests {
             g.stack_mean,
             g.uniform_base_mean
         );
-        // Leases must be free on today's uniform cells…
-        assert!(
-            g.uniform_regression_pct().abs() <= 5.0,
-            "uniform mean wait moved {:.1}% with leases on",
-            g.uniform_regression_pct()
-        );
-        // …and the stack must not tax unskewed affinity demand either.
+        // The stack must not tax unskewed affinity demand.
         assert!(
             g.affinity_uniform_regression_pct() <= 15.0,
             "affinity-uniform mean wait regressed {:.1}% under the stack",
@@ -679,14 +587,12 @@ mod tests {
         all.extend(grid_point(127, 64, "uniform", KeyDist::Uniform, 400));
         for m in &all {
             eprintln!(
-                "{:>8} {:>8}/{:<7} lease={} grants {:>6} leased {:>3.0}% mean {:>7.2} \
+                "{:>8} {:>8}/{:<7} grants {:>6} mean {:>7.2} \
                  p50 {:>4} p99 {:>5} msgs/grant {:>6.2}",
                 m.skew,
                 m.workload,
                 m.placement,
-                m.lease_window,
                 m.grants,
-                m.leased_pct(),
                 m.mean_wait_ticks,
                 m.p50_wait_ticks,
                 m.p99_wait_ticks,
@@ -695,60 +601,19 @@ mod tests {
         }
         let g = gap(&all, 64).expect("grid covers the gap cells");
         eprintln!(
-            "gap: mean {:.1}% p99 {:.1}% uniform regression {:+.1}%",
+            "gap: mean {:.1}% p99 {:.1}% affinity-uniform regression {:+.1}%",
             g.closed_mean_pct(),
             g.closed_p99_pct(),
-            g.uniform_regression_pct()
-        );
-    }
-
-    #[test]
-    fn leased_cells_serve_identical_demand_with_fewer_messages() {
-        let dist = KeyDist::Zipf { exponent: 1.1 };
-        let cell = |lease| {
-            run_dag_cell(
-                15,
-                16,
-                "zipf-1.1",
-                dist,
-                Load::Affinity,
-                Hubs::Modulo,
-                lease,
-                40,
-                7,
-            )
-        };
-        let off = cell(LeaseConfig::OFF);
-        let on = cell(LEASE);
-        assert_eq!(off.grants, on.grants, "same closed-loop demand");
-        assert_eq!(off.lease_grants, 0);
-        assert!(on.lease_grants > 0, "leases never engaged");
-        assert!(
-            on.keyed_messages < off.keyed_messages,
-            "leases {} !< lease-off {}",
-            on.keyed_messages,
-            off.keyed_messages
+            g.affinity_uniform_regression_pct()
         );
     }
 
     #[test]
     fn profile_placement_beats_modulo_on_first_touch_traffic() {
-        // One round per node: placement is the whole story (leases
-        // can't help a single acquisition).
+        // One round per node: placement is the whole story (a parked
+        // token can't help a single acquisition).
         let dist = KeyDist::Zipf { exponent: 1.1 };
-        let cell = |hubs| {
-            run_dag_cell(
-                15,
-                16,
-                "zipf-1.1",
-                dist,
-                Load::Affinity,
-                hubs,
-                LeaseConfig::OFF,
-                1,
-                11,
-            )
-        };
+        let cell = |hubs| run_dag_cell(15, 16, "zipf-1.1", dist, Load::Affinity, hubs, 1, 11);
         let modulo = cell(Hubs::Modulo);
         let profile = cell(Hubs::Profile);
         assert_eq!(modulo.grants, profile.grants);
@@ -776,8 +641,8 @@ mod tests {
     #[test]
     fn table_covers_the_grid_plus_the_baseline() {
         let t = run(15, &[8], 4);
-        // 1 key count × 2 skews × 6 cells + 1 quorum row.
-        assert_eq!(t.len(), 13);
+        // 1 key count × 2 skews × 3 cells + 1 quorum row.
+        assert_eq!(t.len(), 7);
     }
 
     #[test]
@@ -787,7 +652,7 @@ mod tests {
         let mut all: Vec<SkewMeasurement> = cells.into_iter().chain(uniform).collect();
         all.push(run_quorum_cell(13, 2, 5));
         let json = results_json(&all);
-        assert_eq!(json.matches("\"algorithm\"").count(), 13);
+        assert_eq!(json.matches("\"algorithm\"").count(), 7);
         assert!(json.contains("\"gap_closed_mean_pct\""));
         assert!(json.contains("\"naimi-thiare\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

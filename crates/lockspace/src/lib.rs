@@ -11,7 +11,15 @@
 //! node, so one deterministic engine run carries traffic for thousands
 //! of keys over shared FIFO links:
 //!
-//! * [`LockTable`] — each node's sharded `LockId -> DagNode` map, lazily
+//! * [`KeyedNode`] (the [`keyed`] module) — the one keyed node core
+//!   every driver runs: a node's per-key [`DagNode`](dmx_core::DagNode)s
+//!   behind four sans-IO calls (`request`, `try_request`, `release`,
+//!   `deliver`) that append keyed sends and entries to a caller-owned
+//!   buffer. The five drivers — [`LockSpaceNode`], [`ScriptedClient`],
+//!   the [`parallel`] engine's shards, and `dmx-runtime`'s threaded
+//!   workers and single-key node loop — are thin adapters over it that
+//!   keep only their I/O, their clock, and their user-side policy;
+//! * [`LockTable`] — the core's sharded `LockId -> instance` map, lazily
 //!   materialized so untouched keys cost nothing;
 //! * [`Envelope`] — the wire format: one delivery carries one keyed
 //!   message, or (batching on) *many keys'* messages for the same
@@ -72,6 +80,7 @@
 #![warn(missing_docs)]
 
 mod envelope;
+pub mod keyed;
 pub mod parallel;
 pub mod session;
 mod space;
@@ -79,11 +88,9 @@ mod table;
 pub mod transport;
 
 pub use envelope::{Envelope, BATCH_HEADER_BYTES};
+pub use keyed::{Effect, KeyedNode, OrientationCache, Placement, Seeds, Slot};
 pub use parallel::{ParallelConfig, ParallelEngine, ParallelReport, ShardMap, WindowPolicy};
 pub use session::{ScriptedClient, SessionConfig, SessionMonitor};
-pub use space::{
-    LeaseConfig, LockSpace, LockSpaceConfig, LockSpaceMonitor, LockSpaceNode, OrientationCache,
-    Placement,
-};
+pub use space::{LockSpace, LockSpaceConfig, LockSpaceMonitor, LockSpaceNode};
 pub use table::LockTable;
 pub use transport::{BatchPool, FlushPolicy, Transport};

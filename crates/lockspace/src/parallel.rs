@@ -89,17 +89,16 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use dmx_core::{Action, DagMessage, DagNode, KeyedDagMessage, LockId};
+use dmx_core::{KeyedDagMessage, LockId};
 use dmx_simnet::checker::{KeyedSafetyChecker, KeyedViolation};
 use dmx_simnet::metrics::{KeyedMetrics, KeyedRollup};
-use dmx_simnet::sched::{EventQueue, HeapQueue, SchedBackend, Wheel256Queue, WheelQueue};
-use dmx_simnet::{LatencyModel, MessageMeta, Scheduler, Time};
+use dmx_simnet::sched::{EventQueue, WheelQueue};
+use dmx_simnet::{MessageMeta, Time};
 use dmx_topology::{NodeId, Tree};
 use dmx_workload::PacedKeyDemand;
 
 use crate::envelope::{Envelope, BATCH_HEADER_BYTES};
-use crate::space::{LeaseConfig, OrientationCache, Placement};
-use crate::table::LockTable;
+use crate::keyed::{Effect, KeyedNode, Placement, Seeds};
 use crate::transport::{BatchPool, FlushPolicy, Transport};
 
 /// How keys are assigned to shard engines. Every observable output of a
@@ -304,11 +303,6 @@ pub struct ParallelConfig {
     pub hold: Time,
     /// Initial token placement per key.
     pub placement: Placement,
-    /// Holder-lease policy (see [`LeaseConfig`]): off by default. Leases
-    /// are a per-key decision over per-key state only, so lease runs
-    /// stay shard-count invariant by the same argument as everything
-    /// else here.
-    pub lease: LeaseConfig,
     /// Record full per-key grant logs in the report (tests and small
     /// runs; the folded digest is always computed).
     pub record_grants: bool,
@@ -321,9 +315,6 @@ pub struct ParallelConfig {
     /// plateaus, and pre-sizing past the workload's realistic depth is
     /// what makes the steady-state window exactly allocation-free.
     pub queue_capacity: usize,
-    /// Event-queue backend for every shard engine. [`Scheduler::Auto`]
-    /// resolves against the runtime's `Fixed(1)` hop latency.
-    pub scheduler: Scheduler,
 }
 
 impl Default for ParallelConfig {
@@ -335,10 +326,8 @@ impl Default for ParallelConfig {
             threads: false,
             hold: Time(1),
             placement: Placement::Modulo,
-            lease: LeaseConfig::OFF,
             record_grants: false,
             queue_capacity: 0,
-            scheduler: Scheduler::Auto,
         }
     }
 }
@@ -347,7 +336,7 @@ impl ParallelConfig {
     /// Validates the configuration in isolation (the checks that need
     /// no tree or demand — those run in [`ParallelEngine::new`]).
     /// Mirrors the construction-time contract of
-    /// [`LeaseConfig`]/[`FlushPolicy::validate`](crate::FlushPolicy::validate).
+    /// [`FlushPolicy::validate`](crate::FlushPolicy::validate).
     ///
     /// # Panics
     ///
@@ -388,9 +377,6 @@ pub struct ParallelReport {
     pub critical_path_events: u64,
     /// Total grants across all keys.
     pub grants: u64,
-    /// Grants served by a holder lease (local re-entry, no messages) —
-    /// a subset of [`ParallelReport::grants`]; 0 with leases off.
-    pub lease_grants: u64,
     /// Order-sensitive digest folded over every key's `(time, node)`
     /// grant sequence, combined across keys commutatively — *the*
     /// shard-invariance witness.
@@ -489,21 +475,16 @@ enum Ev {
     Release { key: LockId, node: NodeId },
 }
 
-/// Per-`(node, key)` protocol instance plus the local request queue:
-/// overlapping arrivals at the same node for the same key wait here and
-/// re-issue FIFO on release, so the DAG instance always has at most one
-/// outstanding request.
-#[derive(Debug, Clone)]
-struct Instance {
-    node: DagNode,
+/// The payload next to every `(node, key)` instance: the local request
+/// queue. Overlapping arrivals at the same node for the same key wait
+/// here and re-issue FIFO on release, so the DAG instance always has at
+/// most one outstanding request.
+#[derive(Debug, Default)]
+struct Arrivals {
     /// Arrival time of the request currently outstanding (wait base).
     wait_since: Time,
     /// Arrival times queued behind the outstanding request.
     queued: VecDeque<Time>,
-    /// When this instance's FOLLOW pointer formed (a remote REQUEST is
-    /// queued behind the local hold) — the lease fairness clock. `None`
-    /// when no remote waiter is known.
-    follow_since: Option<Time>,
 }
 
 /// Per-owned-key bookkeeping (indexed by `key / shards`).
@@ -536,51 +517,6 @@ struct EnvRecord {
     payload: u64,
 }
 
-/// The shard engines' event queue: static dispatch over the simnet
-/// backends, selected once per run.
-enum Queue {
-    Heap(HeapQueue<Ev>),
-    Wheel(WheelQueue<Ev>),
-    Wheel256(Wheel256Queue<Ev>),
-}
-
-impl Queue {
-    fn for_backend(backend: SchedBackend) -> Self {
-        match backend {
-            SchedBackend::Heap => Queue::Heap(HeapQueue::new()),
-            SchedBackend::Wheel => Queue::Wheel(WheelQueue::new()),
-            SchedBackend::Wheel256 => Queue::Wheel256(Wheel256Queue::new()),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, at: Time, seq: u64, ev: Ev) {
-        match self {
-            Queue::Heap(q) => q.push(at, seq, ev),
-            Queue::Wheel(q) => q.push(at, seq, ev),
-            Queue::Wheel256(q) => q.push(at, seq, ev),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(Time, Ev)> {
-        match self {
-            Queue::Heap(q) => q.pop_earliest(),
-            Queue::Wheel(q) => q.pop_earliest(),
-            Queue::Wheel256(q) => q.pop_earliest(),
-        }
-    }
-
-    #[inline]
-    fn peek(&self) -> Option<Time> {
-        match self {
-            Queue::Heap(q) => q.peek_time(),
-            Queue::Wheel(q) => q.peek_time(),
-            Queue::Wheel256(q) => q.peek_time(),
-        }
-    }
-}
-
 /// One shard's engine: the full node set, `1/K` of the key space, its
 /// own queue, metrics, safety checker, and transport.
 struct ShardEngine {
@@ -588,22 +524,21 @@ struct ShardEngine {
     assignment: Assignment,
     demand: PacedKeyDemand,
     hold: Time,
-    placement: Placement,
-    lease: LeaseConfig,
     record_grants: bool,
-    queue_capacity: usize,
-    tree: Tree,
-    orientations: OrientationCache,
-    queue: Queue,
+    seeds: Seeds,
+    /// One `Fixed(1)` hop per delivery: everything lands within a tick
+    /// or a hold of now, the wheel's home turf (its overflow heap keeps
+    /// longer holds correct).
+    queue: WheelQueue<Ev>,
     seq: u64,
-    /// Per-node `LockId -> Instance` tables.
-    tables: Vec<LockTable<Instance>>,
+    /// Per-node keyed cores.
+    cores: Vec<KeyedNode<Arrivals>>,
     /// Per-owned-key grant bookkeeping (`key / shards`).
     keys: Vec<KeyState>,
     metrics: KeyedMetrics,
     safety: KeyedSafetyChecker,
     violation: Option<KeyedViolation>,
-    scratch: Vec<Action>,
+    effects: Vec<Effect>,
     /// `(src, dst, msg, dispatch index)` sends of the tick being
     /// dispatched. The index makes the flush's per-source grouping sort
     /// key unique, so the allocation-free *unstable* sort reproduces
@@ -620,7 +555,6 @@ struct ShardEngine {
     /// This window's envelope records, handed to the barrier merge.
     records: Vec<EnvRecord>,
     grants: u64,
-    lease_grants: u64,
     events: u64,
     window_events: u64,
     now: Time,
@@ -628,37 +562,38 @@ struct ShardEngine {
 
 impl ShardEngine {
     fn new(
-        tree: &Tree,
+        tree: &Arc<Tree>,
         demand: PacedKeyDemand,
         config: &ParallelConfig,
         assignment: Assignment,
         shard: usize,
     ) -> Self {
         let n = tree.len();
-        let backend = config.scheduler.resolve(
-            LatencyModel::Fixed(Time(1)),
-            LatencyModel::Fixed(config.hold),
-        );
         let owned = assignment.owned_count(shard, demand.keys());
+        let capacity = config.queue_capacity;
         let mut engine = ShardEngine {
             shard,
             assignment,
             demand,
             hold: config.hold,
-            placement: config.placement.clone(),
-            lease: config.lease,
             record_grants: config.record_grants,
-            queue_capacity: config.queue_capacity,
-            tree: tree.clone(),
-            orientations: OrientationCache::new(n),
-            queue: Queue::for_backend(backend),
+            seeds: Seeds::new(Arc::clone(tree), config.placement.clone()),
+            queue: WheelQueue::new(),
             seq: 0,
-            tables: (0..n).map(|_| LockTable::new(1)).collect(),
+            cores: tree
+                .nodes()
+                .map(|id| {
+                    KeyedNode::with_payload(id, 1, move || Arrivals {
+                        wait_since: Time::ZERO,
+                        queued: VecDeque::with_capacity(capacity),
+                    })
+                })
+                .collect(),
             keys: vec![KeyState::default(); owned],
             metrics: KeyedMetrics::with_keys(demand.keys() as usize),
             safety: KeyedSafetyChecker::with_keys(demand.keys() as usize),
             violation: None,
-            scratch: Vec::new(),
+            effects: Vec::new(),
             sends: Vec::new(),
             send_tick: Time::ZERO,
             transport: Transport::new(n, FlushPolicy::EveryTick),
@@ -666,7 +601,6 @@ impl ShardEngine {
             spent: Vec::new(),
             records: Vec::new(),
             grants: 0,
-            lease_grants: 0,
             events: 0,
             window_events: 0,
             now: Time::ZERO,
@@ -700,54 +634,22 @@ impl ShardEngine {
     }
 
     fn next_time(&self) -> Option<Time> {
-        self.queue.peek()
+        self.queue.peek_time()
     }
 
-    /// The `(node, key)` instance, materialized on first touch with its
-    /// initial orientation (same soundness argument as the sequential
-    /// lock space — see the [`table`](crate::table) module docs).
-    fn instance(&mut self, node: NodeId, key: LockId) -> &mut Instance {
-        let placement = &self.placement;
-        let tree = &self.tree;
-        let orientations = &mut self.orientations;
-        let queue_capacity = self.queue_capacity;
-        self.tables[node.index()].get_or_insert_with(key, || Instance {
-            node: placement.initial_instance(key, node, tree, orientations),
-            wait_since: Time::ZERO,
-            queued: VecDeque::with_capacity(queue_capacity),
-            follow_since: None,
-        })
-    }
-
-    /// Drains `actions` produced by `me`'s instance for `key` at `now`:
-    /// sends become next-tick deliveries plus staged envelope traffic,
-    /// `Enter` becomes a grant.
-    fn apply_actions(
-        &mut self,
-        me: NodeId,
-        key: LockId,
-        wait_since: Time,
-        actions: &mut Vec<Action>,
-    ) {
+    /// Drains the effects of `me`'s core at `now`: sends become
+    /// next-tick deliveries plus staged envelope traffic, an entry
+    /// becomes a grant whose wait started at `wait_since`.
+    fn apply_effects(&mut self, me: NodeId, wait_since: Time, effects: &mut Vec<Effect>) {
         let now = self.now;
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, message } => {
-                    let keyed = KeyedDagMessage {
-                        lock: key,
-                        msg: message,
-                    };
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => {
                     let idx = self.sends.len() as u32;
-                    self.sends.push((me, to, keyed, idx));
-                    self.push(
-                        now + Time(1),
-                        Ev::Deliver {
-                            dst: to,
-                            msg: keyed,
-                        },
-                    );
+                    self.sends.push((me, to, msg, idx));
+                    self.push(now + Time(1), Ev::Deliver { dst: to, msg });
                 }
-                Action::Enter => {
+                Effect::Enter(key) => {
                     let wait = now.saturating_since(wait_since).ticks();
                     self.metrics.on_grant(key.index(), wait);
                     if let Err(v) = self.safety.on_enter(key.index(), me, now) {
@@ -767,7 +669,7 @@ impl ShardEngine {
 
     fn dispatch(&mut self, ev: Ev) {
         let now = self.now;
-        let mut actions = std::mem::take(&mut self.scratch);
+        let mut effects = std::mem::take(&mut self.effects);
         match ev {
             Ev::Arrival { key, i } => {
                 // Chain the key's next arrival (strictly later in time,
@@ -778,92 +680,41 @@ impl ShardEngine {
                 }
                 let (_, node) = self.demand.arrival(key, i);
                 self.metrics.on_request(key.index());
-                let inst = self.instance(node, key);
-                if inst.node.is_requesting() || inst.node.is_executing() {
-                    inst.queued.push_back(now);
+                let mut slot = self.cores[node.index()].slot(key, &mut self.seeds);
+                if slot.node().is_requesting() || slot.node().is_executing() {
+                    slot.payload().queued.push_back(now);
                 } else {
-                    inst.wait_since = now;
-                    inst.node.request_into(&mut actions);
-                    self.apply_actions(node, key, now, &mut actions);
+                    slot.request(&mut effects).wait_since = now;
+                    self.apply_effects(node, now, &mut effects);
                 }
             }
             Ev::Deliver { dst, msg } => {
-                let key = msg.lock;
-                self.metrics.on_message(key.index(), msg.kind());
-                let inst = self.instance(dst, key);
-                let wait_since = inst.wait_since;
-                match msg.msg {
-                    DagMessage::Request { from, origin } => {
-                        inst.node.receive_request_into(from, origin, &mut actions);
-                    }
-                    DagMessage::Privilege => {
-                        inst.node.receive_privilege_into(&mut actions);
-                    }
-                    DagMessage::Initialize => {
-                        unreachable!("the paced runtime never floods INITIALIZE")
-                    }
-                }
-                self.apply_actions(dst, key, wait_since, &mut actions);
-                if self.lease.enabled() {
-                    // Start the fairness clock the moment a remote
-                    // waiter queues behind this instance (FOLLOW set).
-                    let inst = self.instance(dst, key);
-                    if inst.follow_since.is_none() && inst.node.follow().is_some() {
-                        inst.follow_since = Some(now);
-                    }
-                }
+                self.metrics.on_message(msg.lock.index(), msg.kind());
+                let wait_since = self.cores[dst.index()]
+                    .deliver(msg, &mut self.seeds, &mut effects)
+                    .wait_since;
+                self.apply_effects(dst, wait_since, &mut effects);
             }
             Ev::Release { key, node } => {
                 if let Err(v) = self.safety.on_exit(key.index(), node, now) {
                     self.violation.get_or_insert(v);
                 }
-                let lease = self.lease;
-                let hold = self.hold;
-                let inst = self.instance(node, key);
-                let fair = lease.enabled()
-                    && match inst.follow_since {
-                        None => true,
-                        Some(since) => {
-                            (now + hold).saturating_since(since).ticks() <= lease.fairness_budget
-                        }
-                    };
-                let leased = if fair { inst.queued.pop_front() } else { None };
-                if let Some(t0) = leased {
-                    // Holder lease: the queued local claimant re-enters
-                    // without ceding the privilege — zero messages, zero
-                    // DAG hops. The instance never exits, so FOLLOW (and
-                    // its fairness clock) carries to the next release.
-                    inst.wait_since = t0;
-                    let wait = now.saturating_since(t0).ticks();
-                    self.metrics.on_grant(key.index(), wait);
-                    if let Err(v) = self.safety.on_enter(key.index(), node, now) {
-                        self.violation.get_or_insert(v);
-                    }
-                    self.grants += 1;
-                    self.lease_grants += 1;
-                    let state = &mut self.keys[self.assignment.slot_of(key)];
-                    state.digest = fnv(fnv(state.digest, now.ticks()), node.index() as u64);
-                    if self.record_grants {
-                        state.log.push((now, node));
-                    }
-                    self.push(now + hold, Ev::Release { key, node });
-                } else {
-                    inst.node.exit_into(&mut actions);
-                    inst.follow_since = None;
-                    let requeued = inst.queued.pop_front();
-                    self.apply_actions(node, key, now, &mut actions);
-                    // A queued local arrival re-issues after the exit's
-                    // traffic left, FIFO.
-                    if let Some(t0) = requeued {
-                        let inst = self.instance(node, key);
-                        inst.wait_since = t0;
-                        inst.node.request_into(&mut actions);
-                        self.apply_actions(node, key, t0, &mut actions);
-                    }
+                let requeued = self.cores[node.index()]
+                    .release(key, &mut effects)
+                    .queued
+                    .pop_front();
+                self.apply_effects(node, now, &mut effects);
+                // A queued local arrival re-issues after the exit's
+                // traffic left, FIFO.
+                if let Some(t0) = requeued {
+                    self.cores[node.index()]
+                        .request(key, &mut self.seeds, &mut effects)
+                        .wait_since = t0;
+                    self.apply_effects(node, t0, &mut effects);
                 }
             }
         }
-        self.scratch = actions;
+        self.effects = effects;
     }
 
     /// Groups the finished tick's sends per source through the shared
@@ -919,12 +770,12 @@ impl ShardEngine {
     fn oldest_pending(&self) -> Option<Time> {
         let mut oldest: Option<Time> = None;
         let mut consider = |t: Time| oldest = Some(oldest.map_or(t, |o| o.min(t)));
-        for table in &self.tables {
-            for (_, inst) in table.iter() {
-                if inst.node.is_requesting() {
-                    consider(inst.wait_since);
+        for core in &self.cores {
+            for (_, node, arrivals) in core.iter() {
+                if node.is_requesting() {
+                    consider(arrivals.wait_since);
                 }
-                for &t in &inst.queued {
+                for &t in &arrivals.queued {
                     consider(t);
                 }
             }
@@ -934,11 +785,11 @@ impl ShardEngine {
 
     /// Processes every event strictly before `barrier_end`.
     fn run_window(&mut self, barrier_end: Time) {
-        while let Some(t) = self.queue.peek() {
+        while let Some(t) = self.queue.peek_time() {
             if t >= barrier_end {
                 break;
             }
-            let (t, ev) = self.queue.pop().expect("just peeked");
+            let (t, ev) = self.queue.pop_earliest().expect("just peeked");
             if t != self.send_tick {
                 self.flush_sends();
                 self.send_tick = t;
@@ -1101,8 +952,7 @@ impl ParallelEngine {
     /// Panics on whatever [`ParallelConfig::validate`] rejects, and on
     /// the cross-checks that need the tree and demand: mismatched node
     /// counts, a balanced profile whose length is not the key count, or
-    /// a [`Placement::Hub`]/[`Placement::Profile`] naming an
-    /// out-of-range node.
+    /// an invalid placement (see [`Placement::validate`]).
     pub fn new(tree: &Tree, demand: PacedKeyDemand, config: ParallelConfig) -> Self {
         config.validate();
         assert_eq!(
@@ -1110,18 +960,7 @@ impl ParallelEngine {
             tree.len(),
             "demand and tree disagree on the node count"
         );
-        match &config.placement {
-            Placement::Hub(h) => {
-                assert!(h.index() < tree.len(), "hub {h} out of range");
-            }
-            Placement::Profile(profile) => {
-                assert!(!profile.is_empty(), "placement profile must not be empty");
-                for h in profile.iter() {
-                    assert!(h.index() < tree.len(), "profile hub {h} out of range");
-                }
-            }
-            Placement::Modulo => {}
-        }
+        config.placement.validate(tree.len());
         let assignment = match &config.shard_map {
             ShardMap::Modulo => Assignment::Modulo {
                 shards: config.shards,
@@ -1135,8 +974,9 @@ impl ParallelEngine {
                 Assignment::balanced(profile, config.shards)
             }
         };
+        let tree = Arc::new(tree.clone());
         let shards = (0..config.shards)
-            .map(|s| ShardEngine::new(tree, demand, &config, assignment.clone(), s))
+            .map(|s| ShardEngine::new(&tree, demand, &config, assignment.clone(), s))
             .collect();
         ParallelEngine {
             shards,
@@ -1310,7 +1150,6 @@ impl ParallelEngine {
         let mut violation = None;
         let mut grant_digest = 0u64;
         let mut grants = 0;
-        let mut lease_grants = 0;
         let mut events = 0;
         let mut expected = 0;
         let mut end = Time::ZERO;
@@ -1329,7 +1168,6 @@ impl ParallelEngine {
                 violation.get_or_insert(*v);
             }
             grants += shard.grants;
-            lease_grants += shard.lease_grants;
             events += shard.events;
             expected += shard.expected_grants();
             end = end.max(shard.now);
@@ -1354,7 +1192,6 @@ impl ParallelEngine {
             events,
             critical_path_events: totals.critical_path_events,
             grants,
-            lease_grants,
             grant_digest,
             per_key_grants,
             rollup: metrics.rollup(),
@@ -1630,66 +1467,6 @@ mod tests {
                 ..ParallelConfig::default()
             },
         );
-    }
-
-    #[test]
-    fn matches_across_queue_backends() {
-        let run = |scheduler| {
-            let tree = Tree::star(9);
-            let demand = PacedKeyDemand::new(16, 9, 90, 3, 3, 7);
-            ParallelEngine::new(
-                &tree,
-                demand,
-                ParallelConfig {
-                    shards: 2,
-                    scheduler,
-                    record_grants: true,
-                    ..ParallelConfig::default()
-                },
-            )
-            .run()
-        };
-        let heap = run(Scheduler::Heap);
-        let wheel = run(Scheduler::Wheel);
-        assert_eq!(heap.grant_digest, wheel.grant_digest);
-        assert_eq!(heap.per_key_grants, wheel.per_key_grants);
-        assert_eq!(heap.envelopes, wheel.envelopes);
-    }
-
-    #[test]
-    fn leased_runs_stay_shard_invariant_and_serve_everyone() {
-        let run = |shards| {
-            let tree = Tree::kary(15, 2);
-            let demand = PacedKeyDemand::new(8, 15, 80, 4, 4, 0xBEEF);
-            ParallelEngine::new(
-                &tree,
-                demand,
-                ParallelConfig {
-                    shards,
-                    lease: LeaseConfig::new(8, 16),
-                    record_grants: true,
-                    ..ParallelConfig::default()
-                },
-            )
-            .run()
-        };
-        let base = run(1);
-        assert!(base.violation.is_none(), "{:?}", base.violation);
-        assert_eq!(base.starved, 0);
-        assert_eq!(base.starvation_bound_ticks, 0);
-        assert!(base.lease_grants > 0, "bursty local demand leases locally");
-        assert!(
-            base.lease_grants < base.grants,
-            "the DAG still moves the token"
-        );
-        for shards in [2, 4, 8] {
-            let report = run(shards);
-            assert_eq!(report.grant_digest, base.grant_digest, "K={shards}");
-            assert_eq!(report.per_key_grants, base.per_key_grants, "K={shards}");
-            assert_eq!(report.rollup, base.rollup, "K={shards}");
-            assert_eq!(report.lease_grants, base.lease_grants, "K={shards}");
-            assert_eq!(report.starved, 0, "K={shards}");
-        }
     }
 
     #[test]

@@ -34,7 +34,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dmx_core::{Action, DagMessage, DagNode, KeyedDagMessage, LockId};
+use std::sync::Arc;
+
+use dmx_core::{KeyedDagMessage, LockId};
 use dmx_simnet::checker::{KeyedLivenessChecker, KeyedSafetyChecker, KeyedViolation};
 use dmx_simnet::metrics::Histogram;
 use dmx_simnet::{Ctx, Protocol, Time};
@@ -42,8 +44,7 @@ use dmx_topology::{NodeId, Tree};
 use dmx_workload::{AcquireMode, Outcome, Script, SessionOp};
 
 use crate::envelope::Envelope;
-use crate::space::{OrientationCache, Placement};
-use crate::table::LockTable;
+use crate::keyed::{Effect, KeyedNode, Placement, Seeds};
 
 /// Session parameters. (Step pacing is not a knob: the logical clock
 /// is [`Script::STEP_TICKS`], shared with the threaded executor, so
@@ -63,7 +64,7 @@ pub struct SessionConfig {
     pub keys: u32,
     /// Initial token placement per key.
     pub placement: Placement,
-    /// Shard count of each node's [`LockTable`].
+    /// Shard count of each node's [`LockTable`](crate::LockTable).
     pub shards: usize,
 }
 
@@ -80,8 +81,7 @@ impl Default for SessionConfig {
 /// State shared by every client of one session (single-threaded, under
 /// the engine).
 struct Shared {
-    tree: Tree,
-    orientations: OrientationCache,
+    seeds: Seeds,
     safety: KeyedSafetyChecker,
     /// Liveness oracle: every request a client starts waiting on must
     /// resolve (grant or explicit abandonment) before quiescence.
@@ -125,13 +125,12 @@ enum Activity {
 }
 
 /// One node of a scripted session: the [`Protocol`] impl the engine
-/// drives. Build a whole session with [`ScriptedClient::cluster`]; see
-/// the [module docs](self).
+/// drives — a [`KeyedNode`] core plus this driver's script executor.
+/// Build a whole session with [`ScriptedClient::cluster`]; see the
+/// [module docs](self).
 pub struct ScriptedClient {
-    me: NodeId,
-    placement: Placement,
     shared: Rc<RefCell<Shared>>,
-    table: LockTable,
+    core: KeyedNode,
     /// This node's steps: `(global index, issue tick, op)`.
     steps: Vec<(usize, Time, SessionOp)>,
     cursor: usize,
@@ -141,8 +140,8 @@ pub struct ScriptedClient {
     /// Keys whose in-flight request the user gave up on; their
     /// privilege bounces straight back out when it arrives.
     abandoned: Vec<LockId>,
-    /// Buffer the per-key [`DagNode`] handlers push [`Action`]s into.
-    scratch: Vec<Action>,
+    /// Buffer the core appends [`Effect`]s to.
+    effects: Vec<Effect>,
 }
 
 impl ScriptedClient {
@@ -162,18 +161,7 @@ impl ScriptedClient {
         assert!(config.keys > 0, "session needs at least one key");
         assert!(config.shards > 0, "session needs at least one shard");
         let n = tree.len();
-        match &config.placement {
-            Placement::Hub(h) => {
-                assert!(h.index() < n, "hub {h} out of range for {n} nodes");
-            }
-            Placement::Profile(profile) => {
-                assert!(!profile.is_empty(), "placement profile must not be empty");
-                for h in profile.iter() {
-                    assert!(h.index() < n, "profile hub {h} out of range for {n} nodes");
-                }
-            }
-            Placement::Modulo => {}
-        }
+        config.placement.validate(n);
         script.validate(n, config.keys);
         for (i, step) in script.steps().iter().enumerate() {
             if let SessionOp::Acquire {
@@ -190,8 +178,7 @@ impl ScriptedClient {
         }
 
         let shared = Rc::new(RefCell::new(Shared {
-            tree: tree.clone(),
-            orientations: OrientationCache::new(n),
+            seeds: Seeds::new(Arc::new(tree.clone()), config.placement),
             safety: KeyedSafetyChecker::with_keys(config.keys as usize),
             liveness: KeyedLivenessChecker::with_nodes(n),
             waits: Histogram::default(),
@@ -210,16 +197,14 @@ impl ScriptedClient {
             .nodes()
             .zip(per_node)
             .map(|(id, steps)| ScriptedClient {
-                me: id,
-                placement: config.placement.clone(),
                 shared: Rc::clone(&shared),
-                table: LockTable::new(config.shards),
+                core: KeyedNode::new(id, config.shards),
                 steps,
                 cursor: 0,
                 activity: Activity::Idle,
                 held: Vec::new(),
                 abandoned: Vec::new(),
-                scratch: Vec::new(),
+                effects: Vec::new(),
             })
             .collect();
         (clients, SessionMonitor { shared })
@@ -227,66 +212,45 @@ impl ScriptedClient {
 
     /// This client's node.
     pub fn id(&self) -> NodeId {
-        self.me
+        self.core.id()
     }
 
-    /// The key's instance at this node, materialized on first touch
-    /// (same seed as every other lock-space runtime).
-    fn instance(&mut self, key: LockId) -> &mut DagNode {
-        let me = self.me;
-        let placement = self.placement.clone();
-        let shared = &self.shared;
-        self.table.get_or_insert_with(key, move || {
-            let mut sh = shared.borrow_mut();
-            let Shared {
-                tree, orientations, ..
-            } = &mut *sh;
-            placement.initial_instance(key, me, tree, orientations)
-        })
-    }
-
-    /// Drains the scratch buffer after a per-key handler ran: sends go
-    /// on the wire, an `Enter` is returned to the caller (at most one
-    /// per dispatch — the per-key machines enter only for the local
-    /// user).
-    fn flush_actions(&mut self, key: LockId, ctx: &mut Ctx<'_, Envelope>) -> bool {
+    /// Drains the core's effects: sends go on the wire, an entry is
+    /// returned to the caller (at most one per call — the core enters
+    /// only for the local user).
+    fn flush_effects(&mut self, ctx: &mut Ctx<'_, Envelope>) -> bool {
         let mut entered = false;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for action in scratch.drain(..) {
-            match action {
-                Action::Send { to, message } => ctx.send(
-                    to,
-                    Envelope::One(KeyedDagMessage {
-                        lock: key,
-                        msg: message,
-                    }),
-                ),
-                Action::Enter => entered = true,
+        for effect in self.effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => ctx.send(to, Envelope::One(msg)),
+                Effect::Enter(_) => entered = true,
             }
         }
-        self.scratch = scratch;
         entered
     }
 
     /// Records `key` entered (safety oracle) at `now`.
     fn note_enter(&mut self, key: LockId, now: Time) {
+        let me = self.id();
         let mut sh = self.shared.borrow_mut();
-        let r = sh.safety.on_enter(key.index(), self.me, now).err();
+        let r = sh.safety.on_enter(key.index(), me, now).err();
         sh.note(r);
     }
 
     /// Opens `key`'s liveness interval: the local user starts waiting.
     fn note_request(&mut self, key: LockId, now: Time) {
+        let me = self.id();
         let mut sh = self.shared.borrow_mut();
-        let r = sh.liveness.on_request(self.me, key.index(), now).err();
+        let r = sh.liveness.on_request(me, key.index(), now).err();
         sh.note(r);
     }
 
     /// Closes `key`'s liveness interval as a grant and records the
     /// request→grant wait in the session's distribution.
     fn note_grant(&mut self, key: LockId, now: Time) {
+        let me = self.id();
         let mut sh = self.shared.borrow_mut();
-        match sh.liveness.on_grant(self.me, key.index(), now) {
+        match sh.liveness.on_grant(me, key.index(), now) {
             Ok(since) => sh.waits.record(now.saturating_since(since).ticks()),
             Err(v) => sh.note(Some(v)),
         }
@@ -296,8 +260,9 @@ impl ScriptedClient {
     /// up, so the wait resolved (not starved) but was never served —
     /// it stays out of the grant-wait distribution.
     fn note_abandoned(&mut self, key: LockId, now: Time) {
+        let me = self.id();
         let mut sh = self.shared.borrow_mut();
-        let r = sh.liveness.on_grant(self.me, key.index(), now).err();
+        let r = sh.liveness.on_grant(me, key.index(), now).err();
         sh.note(r);
     }
 
@@ -305,15 +270,13 @@ impl ScriptedClient {
     fn exit_key(&mut self, key: LockId, ctx: &mut Ctx<'_, Envelope>) {
         let now = ctx.now();
         {
+            let me = self.id();
             let mut sh = self.shared.borrow_mut();
-            let r = sh.safety.on_exit(key.index(), self.me, now).err();
+            let r = sh.safety.on_exit(key.index(), me, now).err();
             sh.note(r);
         }
-        self.table
-            .get_mut(key)
-            .expect("held key is materialized")
-            .exit_into(&mut self.scratch);
-        let entered = self.flush_actions(key, ctx);
+        self.core.release(key, &mut self.effects);
+        let entered = self.flush_effects(ctx);
         debug_assert!(!entered, "exit never re-enters");
     }
 
@@ -367,10 +330,11 @@ impl ScriptedClient {
                 return;
             }
             self.note_request(key, ctx.now());
-            let mut scratch = std::mem::take(&mut self.scratch);
-            self.instance(key).request_into(&mut scratch);
-            self.scratch = scratch;
-            let entered = self.flush_actions(key, ctx);
+            {
+                let mut sh = self.shared.borrow_mut();
+                self.core.request(key, &mut sh.seeds, &mut self.effects);
+            }
+            let entered = self.flush_effects(ctx);
             if entered {
                 self.note_grant(key, ctx.now());
                 self.note_enter(key, ctx.now());
@@ -432,13 +396,12 @@ impl ScriptedClient {
                         // All-or-nothing local availability, no messages.
                         let mut taken = 0;
                         for (i, &key) in keys.iter().enumerate() {
-                            let mut scratch = std::mem::take(&mut self.scratch);
-                            let instance = self.instance(key);
-                            let available = instance.has_token() && !instance.is_executing();
+                            let available = {
+                                let mut sh = self.shared.borrow_mut();
+                                self.core.try_request(key, &mut sh.seeds, &mut self.effects)
+                            };
                             if available {
-                                instance.request_into(&mut scratch);
-                                self.scratch = scratch;
-                                let entered = self.flush_actions(key, ctx);
+                                let entered = self.flush_effects(ctx);
                                 debug_assert!(entered, "a holding idle instance enters locally");
                                 // A try is an instant request→grant:
                                 // it contributes a zero-tick wait.
@@ -447,7 +410,6 @@ impl ScriptedClient {
                                 self.note_enter(key, now);
                                 taken = i + 1;
                             } else {
-                                self.scratch = scratch;
                                 for &k in keys[..taken].iter().rev() {
                                     self.exit_key(k, ctx);
                                 }
@@ -503,27 +465,13 @@ impl ScriptedClient {
     }
 
     /// One keyed message arrived.
-    fn deliver(&mut self, from: NodeId, keyed: KeyedDagMessage, ctx: &mut Ctx<'_, Envelope>) {
+    fn deliver(&mut self, keyed: KeyedDagMessage, ctx: &mut Ctx<'_, Envelope>) {
         let key = keyed.lock;
-        match keyed.msg {
-            DagMessage::Request { from: link, origin } => {
-                debug_assert_eq!(link, from, "REQUEST's X field must match the wire sender");
-                let mut scratch = std::mem::take(&mut self.scratch);
-                self.instance(key)
-                    .receive_request_into(from, origin, &mut scratch);
-                self.scratch = scratch;
-            }
-            DagMessage::Privilege => {
-                self.table
-                    .get_mut(key)
-                    .expect("PRIVILEGE only travels to a node that requested")
-                    .receive_privilege_into(&mut self.scratch);
-            }
-            DagMessage::Initialize => {
-                unreachable!("sessions are pre-oriented; no INITIALIZE flood")
-            }
+        {
+            let mut sh = self.shared.borrow_mut();
+            self.core.deliver(keyed, &mut sh.seeds, &mut self.effects);
         }
-        if self.flush_actions(key, ctx) {
+        if self.flush_effects(ctx) {
             let now = ctx.now();
             if let Some(i) = self.abandoned.iter().position(|&k| k == key) {
                 // The grant nobody waited for: enter and bounce right
@@ -544,7 +492,7 @@ impl ScriptedClient {
                         self.note_enter(key, now);
                         self.advance_acquisition(ctx);
                     }
-                    _ => unreachable!("{} entered {key} with no local claimant", self.me),
+                    _ => unreachable!("{} entered {key} with no local claimant", self.id()),
                 }
             }
         }
@@ -564,12 +512,12 @@ impl Protocol for ScriptedClient {
         unreachable!("sessions drive demand through their script; not Engine::request_at");
     }
 
-    fn on_message(&mut self, from: NodeId, msg: Envelope, ctx: &mut Ctx<'_, Envelope>) {
+    fn on_message(&mut self, _from: NodeId, msg: Envelope, ctx: &mut Ctx<'_, Envelope>) {
         match msg {
-            Envelope::One(keyed) => self.deliver(from, keyed, ctx),
+            Envelope::One(keyed) => self.deliver(keyed, ctx),
             Envelope::Batch(mut batch) => {
                 for keyed in batch.drain(..) {
-                    self.deliver(from, keyed, ctx);
+                    self.deliver(keyed, ctx);
                 }
             }
         }
@@ -596,7 +544,7 @@ impl Protocol for ScriptedClient {
     fn storage_words(&self) -> usize {
         // Three words per materialized instance (Chapter 6.4 per key),
         // plus the client's own step/activity bookkeeping.
-        3 * self.table.len() + 4
+        3 * self.core.len() + 4
     }
 }
 

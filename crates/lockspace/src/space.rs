@@ -3,8 +3,8 @@
 //!
 //! ## How the multiplexing works
 //!
-//! Each node owns a sharded [`LockTable`] of per-key [`DagNode`]s,
-//! lazily materialized, plus one per-node request stream from a
+//! Each node owns a [`KeyedNode`] core — its lazily materialized per-key
+//! DAG instances — plus one per-node request stream from a
 //! [`KeyedWorkload`]. The engine's single-lock request/enter/exit
 //! machinery (and its single-occupant safety checker) cannot describe a
 //! system where many keys are legitimately held at once, so the lock
@@ -45,152 +45,16 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use dmx_core::{Action, DagMessage, DagNode, KeyedDagMessage, LockId};
+use dmx_core::{DagMessage, KeyedDagMessage, LockId};
 use dmx_simnet::checker::{KeyedLivenessChecker, KeyedSafetyChecker, KeyedViolation};
 use dmx_simnet::metrics::{Histogram, KeyStats, KeyedMetrics, KeyedRollup};
 use dmx_simnet::{Ctx, MessageMeta, Protocol, Time};
-use dmx_topology::{NodeId, Orientation, Tree};
+use dmx_topology::{NodeId, Tree};
 use dmx_workload::{KeyStream, KeyedWorkload};
 
 use crate::envelope::Envelope;
-use crate::table::LockTable;
+use crate::keyed::{Effect, KeyedNode, Placement, Seeds};
 use crate::transport::{BatchPool, FlushPolicy, Transport};
-
-/// Where each key's token starts (its *hub*): the sink of the key's
-/// initial orientation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Placement {
-    /// Key `k`'s hub is node `k mod n` — spreads the key space evenly
-    /// over the nodes, the sharded-service default.
-    Modulo,
-    /// Every key's hub is one designated node — a centralized lock
-    /// server built out of K DAG instances.
-    Hub(NodeId),
-    /// Per-key hub map: key `k`'s hub is `profile[k mod profile.len()]`
-    /// — skew-aware placement, seeding each key's orientation DAG at
-    /// the node a popularity profile names as its hottest (e.g. a
-    /// workload's [`hub_profile`](dmx_workload::KeyedAffinity::hub_profile)).
-    Profile(Arc<Vec<NodeId>>),
-}
-
-impl Placement {
-    /// The hub node for `key` in an `n`-node space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placement is an empty [`Placement::Profile`]
-    /// (rejected earlier by [`LockSpace::cluster`]).
-    pub fn hub(&self, key: LockId, n: usize) -> NodeId {
-        match self {
-            Placement::Modulo => NodeId(key.0 % n as u32),
-            Placement::Hub(h) => *h,
-            Placement::Profile(p) => p[key.index() % p.len()],
-        }
-    }
-
-    /// The materialization seed both lock-space runtimes (simulated and
-    /// threaded) share: a fresh [`DagNode`] for `(me, key)` carrying
-    /// `me`'s *initial* `NEXT` pointer toward the key's hub. Lazy
-    /// materialization with this seed is sound no matter when it happens
-    /// — see the [`table`](crate::table) module docs.
-    pub fn initial_instance(
-        &self,
-        key: LockId,
-        me: NodeId,
-        tree: &Tree,
-        cache: &mut OrientationCache,
-    ) -> DagNode {
-        let hub = self.hub(key, tree.len());
-        DagNode::new(me, cache.next_hop(tree, hub, me))
-    }
-}
-
-/// Lazily-filled cache of per-hub [`Orientation`]s: hub orientations are
-/// computed on first touch (an O(n) walk each), so untouched hubs cost
-/// nothing — the per-hub analogue of the lock table's lazy instances.
-#[derive(Debug, Clone)]
-pub struct OrientationCache {
-    slots: Vec<Option<Orientation>>,
-}
-
-impl OrientationCache {
-    /// An empty cache for an `n`-node tree.
-    pub fn new(n: usize) -> Self {
-        OrientationCache {
-            slots: vec![None; n],
-        }
-    }
-
-    /// `me`'s initial `NEXT` pointer toward `hub` (`None` when `me` *is*
-    /// the hub), computing and caching `hub`'s orientation on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hub` is out of range for `tree` or the cache.
-    pub fn next_hop(&mut self, tree: &Tree, hub: NodeId, me: NodeId) -> Option<NodeId> {
-        if self.slots[hub.index()].is_none() {
-            self.slots[hub.index()] = Some(tree.orient_toward(hub));
-        }
-        self.slots[hub.index()]
-            .as_ref()
-            .expect("just cached")
-            .next_hop(me)
-    }
-}
-
-/// Holder-lease knobs: how long a node may keep serving a key's local
-/// demand after a hold expires before the token must go back to the DAG.
-///
-/// While a node holds a key's privilege and its *own next request* for
-/// the same key arrives within the lease window, the release is
-/// deferred: the per-key instance stays `executing`, the privilege
-/// cannot leave, and the re-grant is purely local — zero messages, zero
-/// DAG hops. The lease cedes to the DAG when local demand moves on,
-/// when the window closes, or when a queued remote REQUEST (the
-/// instance's FOLLOW pointer) would be kept waiting past the fairness
-/// budget — so remote waiters cannot starve (the keyed liveness oracle
-/// checks the result).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseConfig {
-    /// Lease window in ticks: after a hold expires, a same-key local
-    /// re-request arriving within this many ticks is granted locally.
-    /// `0` disables leasing (the default) — the release path is then
-    /// identical to the pre-lease behavior, trace for trace.
-    pub window: u64,
-    /// Fairness budget in ticks: a lease is refused when it would keep
-    /// a queued remote REQUEST waiting longer than this between the
-    /// moment it queued behind the holder and the end of the leased
-    /// hold.
-    pub fairness_budget: u64,
-}
-
-impl LeaseConfig {
-    /// Leasing disabled (the default).
-    pub const OFF: LeaseConfig = LeaseConfig {
-        window: 0,
-        fairness_budget: 0,
-    };
-
-    /// A lease of `window` ticks with a fairness budget of `budget`
-    /// ticks.
-    pub fn new(window: u64, budget: u64) -> Self {
-        LeaseConfig {
-            window,
-            fairness_budget: budget,
-        }
-    }
-
-    /// `true` when leasing is on.
-    pub fn enabled(&self) -> bool {
-        self.window > 0
-    }
-}
-
-impl Default for LeaseConfig {
-    fn default() -> Self {
-        LeaseConfig::OFF
-    }
-}
 
 /// Lock-space parameters.
 ///
@@ -219,15 +83,13 @@ pub struct LockSpaceConfig {
     /// [`FlushPolicy`]); only meaningful with `batching` on. Validated
     /// once at [`LockSpace::cluster`].
     pub flush: FlushPolicy,
-    /// Shard count of each node's [`LockTable`].
+    /// Shard count of each node's [`LockTable`](crate::LockTable).
     pub shards: usize,
     /// Trace per-request DAG path lengths (REQUEST hops from requester
     /// to the privilege holder) into a histogram reachable via
     /// [`LockSpaceMonitor::path_histogram`]. Off by default: the hot
     /// path then pays only an is-empty check on an always-empty vector.
     pub trace_paths: bool,
-    /// Holder-lease knobs (see [`LeaseConfig`]); off by default.
-    pub lease: LeaseConfig,
 }
 
 impl Default for LockSpaceConfig {
@@ -240,23 +102,21 @@ impl Default for LockSpaceConfig {
             flush: FlushPolicy::EveryTick,
             shards: 16,
             trace_paths: false,
-            lease: LeaseConfig::OFF,
         }
     }
 }
 
 /// State shared by every node of one lock space (single-threaded, under
 /// the engine): the per-key oracles, per-key metric rollups, the batch
-/// buffer pool, and the per-hub orientation cache.
+/// buffer pool, and the instance seeds (with their per-hub orientation
+/// cache).
 struct Shared {
-    tree: Tree,
+    seeds: Seeds,
     safety: KeyedSafetyChecker,
     liveness: KeyedLivenessChecker,
     keyed: KeyedMetrics,
     /// Recycled batch payloads; see [`Envelope::Batch`].
     pool: BatchPool,
-    /// Per-hub orientations, computed on first use.
-    orientations: OrientationCache,
     /// First correctness violation observed, if any. Protocol callbacks
     /// cannot abort the engine, so violations are recorded here and
     /// surfaced through [`LockSpaceMonitor`].
@@ -269,9 +129,6 @@ struct Shared {
     /// Distribution of per-request DAG path lengths (0 for grants
     /// satisfied locally by a parked token).
     path_hist: Histogram,
-    /// Grants served under a holder lease (zero messages, zero DAG
-    /// hops), across the whole space.
-    lease_grants: u64,
 }
 
 impl Shared {
@@ -299,48 +156,34 @@ enum Phase {
         /// Scheduled release time.
         until: Time,
     },
-    /// Between a hold and a leased local re-grant of the same key: the
-    /// per-key instance is still `executing` (the DAG never saw an
-    /// exit), and the re-grant fires at `at`.
-    Leased {
-        /// The leased key.
-        key: LockId,
-        /// When the local re-request arrives (the re-grant time).
-        at: Time,
-    },
 }
 
-/// One node of a lock space: the [`Protocol`] impl the engine drives.
+/// One node of a lock space: the [`Protocol`] impl the engine drives —
+/// a [`KeyedNode`] core plus this driver's closed-loop phase, request
+/// stream, and transport.
 ///
 /// Build a whole space with [`LockSpace::cluster`]; see the
 /// [crate-level example](crate).
 pub struct LockSpaceNode {
-    me: NodeId,
     config: LockSpaceConfig,
     shared: Rc<RefCell<Shared>>,
-    table: LockTable,
+    core: KeyedNode,
     stream: Box<dyn KeyStream>,
     /// The stream's next `(time, key)` request, once scheduled.
     next_arrival: Option<(Time, LockId)>,
     phase: Phase,
-    /// Buffer the per-key [`DagNode`] handlers push [`Action`]s into.
-    scratch: Vec<Action>,
+    /// Buffer the core appends [`Effect`]s to.
+    effects: Vec<Effect>,
     /// The coalescing transport: staged sends, destination grouping,
     /// and the flush-window bookkeeping (shared implementation with the
     /// threaded `LockSpaceCluster`).
     transport: Transport,
-    /// When a remote REQUEST first queued behind this node's current
-    /// occupancy (the instance's FOLLOW pointer became set), for the
-    /// lease fairness budget. One slot suffices: FOLLOW only forms at
-    /// the node currently requesting or executing a key, and this node
-    /// does one key at a time. Cleared on the real DAG exit.
-    lease_follow_since: Option<Time>,
 }
 
 impl LockSpaceNode {
     /// This node's id.
     pub fn id(&self) -> NodeId {
-        self.me
+        self.core.id()
     }
 
     /// The key this node currently holds, if any.
@@ -351,59 +194,42 @@ impl LockSpaceNode {
         }
     }
 
-    /// The node's materialized per-key instances.
-    pub fn table(&self) -> &LockTable {
-        &self.table
+    /// The node's keyed core: its materialized per-key instances.
+    pub fn table(&self) -> &KeyedNode {
+        &self.core
     }
 
     /// Keys whose token (PRIVILEGE) is currently parked at this node.
     pub fn token_keys(&self) -> impl Iterator<Item = LockId> + '_ {
-        self.table
+        self.core
             .iter()
-            .filter(|(_, node)| node.has_token())
-            .map(|(key, _)| key)
-    }
-
-    /// The key's instance at this node, materialized on first touch with
-    /// its initial orientation via [`Placement::initial_instance`] (sound
-    /// even when the token has long moved — see the
-    /// [`table`](crate::table) module docs).
-    fn instance(&mut self, key: LockId) -> &mut DagNode {
-        let me = self.me;
-        let placement = self.config.placement.clone();
-        let shared = &self.shared;
-        self.table.get_or_insert_with(key, move || {
-            let mut sh = shared.borrow_mut();
-            let Shared {
-                tree, orientations, ..
-            } = &mut *sh;
-            placement.initial_instance(key, me, tree, orientations)
-        })
+            .filter(|(_, node, _)| node.has_token())
+            .map(|(key, _, _)| key)
     }
 
     /// Issues the local user's request for `key` right now.
     fn issue(&mut self, key: LockId, ctx: &mut Ctx<'_, Envelope>) {
         let now = ctx.now();
+        let me = self.id();
         debug_assert_eq!(self.phase, Phase::Idle, "issue() while not idle");
+        self.phase = Phase::Waiting { key };
         {
             let mut sh = self.shared.borrow_mut();
-            let r = sh.liveness.on_request(self.me, key.index(), now).err();
+            let r = sh.liveness.on_request(me, key.index(), now).err();
             sh.note(r);
             sh.keyed.on_request(key.index());
-            if let Some(hops) = sh.path_hops.get_mut(self.me.index()) {
+            if let Some(hops) = sh.path_hops.get_mut(me.index()) {
                 *hops = 0;
             }
+            self.core.request(key, &mut sh.seeds, &mut self.effects);
         }
-        self.phase = Phase::Waiting { key };
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.instance(key).request_into(&mut scratch);
-        self.scratch = scratch;
-        self.apply_actions(key, ctx);
+        self.apply_effects(ctx);
     }
 
     /// The local request for `key` was granted.
     fn granted(&mut self, key: LockId, ctx: &mut Ctx<'_, Envelope>) {
         let now = ctx.now();
+        let me = self.id();
         debug_assert_eq!(
             self.phase,
             Phase::Waiting { key },
@@ -411,17 +237,17 @@ impl LockSpaceNode {
         );
         {
             let mut sh = self.shared.borrow_mut();
-            let wait = match sh.liveness.on_grant(self.me, key.index(), now) {
+            let wait = match sh.liveness.on_grant(me, key.index(), now) {
                 Ok(requested_at) => now.saturating_since(requested_at).ticks(),
                 Err(v) => {
                     sh.note(Some(v));
                     0
                 }
             };
-            let r = sh.safety.on_enter(key.index(), self.me, now).err();
+            let r = sh.safety.on_enter(key.index(), me, now).err();
             sh.note(r);
             sh.keyed.on_grant(key.index(), wait);
-            if let Some(&hops) = sh.path_hops.get(self.me.index()) {
+            if let Some(&hops) = sh.path_hops.get(me.index()) {
                 sh.path_hist.record(u64::from(hops));
             }
         }
@@ -432,57 +258,17 @@ impl LockSpaceNode {
 
     /// The hold on `key` expired: leave the critical section, hand the
     /// token on if someone follows, and line up the next request.
-    ///
-    /// With a lease window configured, the stream is peeked *before*
-    /// the DAG exit: when this node's own next request is for the same
-    /// key, lands within the window, and no remote waiter is past the
-    /// fairness budget, the exit is deferred — the instance stays
-    /// `executing`, the privilege cannot leave, and the re-grant at the
-    /// arrival time is purely local. With the window at 0 (leases off)
-    /// the peek is skipped entirely and this path is the pre-lease
-    /// behavior, trace for trace.
     fn release(&mut self, key: LockId, ctx: &mut Ctx<'_, Envelope>) {
         let now = ctx.now();
         {
             let mut sh = self.shared.borrow_mut();
-            let r = sh.safety.on_exit(key.index(), self.me, now).err();
+            let r = sh.safety.on_exit(key.index(), self.id(), now).err();
             sh.note(r);
         }
-        if self.config.lease.enabled() {
-            // Pulling early is sound: `next_arrival` is never occupied
-            // while Holding (arrivals are consumed by `issue` and only
-            // re-pulled here or at init).
-            debug_assert!(self.next_arrival.is_none(), "arrival pending during a hold");
-            self.next_arrival = self.stream.next_request(now);
-            if let Some((at, next_key)) = self.next_arrival {
-                debug_assert!(at >= now, "streams must not request in the past");
-                if next_key == key
-                    && at.saturating_since(now).ticks() <= self.config.lease.window
-                    && self.lease_is_fair(at)
-                {
-                    self.next_arrival = None;
-                    self.phase = Phase::Leased { key, at };
-                    if at <= now {
-                        self.regrant(ctx);
-                    } else {
-                        ctx.wake_at(at);
-                    }
-                    return;
-                }
-            }
-        }
-        self.table
-            .get_mut(key)
-            .expect("held key is materialized")
-            .exit_into(&mut self.scratch);
-        self.lease_follow_since = None;
+        self.core.release(key, &mut self.effects);
         self.phase = Phase::Idle;
-        self.apply_actions(key, ctx);
-        let arrival = match self.next_arrival.take() {
-            pulled @ Some(_) => pulled, // the declined lease peek
-            None => self.stream.next_request(now),
-        };
-        if let Some((at, next_key)) = arrival {
+        self.apply_effects(ctx);
+        if let Some((at, next_key)) = self.stream.next_request(now) {
             debug_assert!(at >= now, "streams must not request in the past");
             if at == now {
                 // Issue in this dispatch: the fresh REQUEST shares the
@@ -496,54 +282,6 @@ impl LockSpaceNode {
         }
     }
 
-    /// A lease extending this node's occupancy of the key until
-    /// `at + hold` is fair iff no queued remote waiter would have been
-    /// deferred longer than the fairness budget by then.
-    fn lease_is_fair(&self, at: Time) -> bool {
-        match self.lease_follow_since {
-            None => true,
-            Some(since) => {
-                (at + self.config.hold).saturating_since(since).ticks()
-                    <= self.config.lease.fairness_budget
-            }
-        }
-    }
-
-    /// A leased re-grant fires: the local user re-enters `key`'s
-    /// critical section with the DAG never having seen an exit. The
-    /// request and grant still flow through the per-key oracles and
-    /// counters — a leased grant is a real grant with a zero-hop path.
-    fn regrant(&mut self, ctx: &mut Ctx<'_, Envelope>) {
-        let Phase::Leased { key, at } = self.phase else {
-            unreachable!("regrant outside a lease");
-        };
-        let now = ctx.now();
-        debug_assert!(at <= now, "regrant before the leased arrival");
-        {
-            let mut sh = self.shared.borrow_mut();
-            let r = sh.liveness.on_request(self.me, key.index(), now).err();
-            sh.note(r);
-            sh.keyed.on_request(key.index());
-            let wait = match sh.liveness.on_grant(self.me, key.index(), now) {
-                Ok(requested_at) => now.saturating_since(requested_at).ticks(),
-                Err(v) => {
-                    sh.note(Some(v));
-                    0
-                }
-            };
-            let r = sh.safety.on_enter(key.index(), self.me, now).err();
-            sh.note(r);
-            sh.keyed.on_grant(key.index(), wait);
-            if !sh.path_hops.is_empty() {
-                sh.path_hist.record(0);
-            }
-            sh.lease_grants += 1;
-        }
-        let until = now + self.config.hold;
-        self.phase = Phase::Holding { key, until };
-        ctx.wake_at(until);
-    }
-
     /// One keyed message arrived (already unwrapped from its envelope).
     fn deliver(&mut self, from: NodeId, keyed: KeyedDagMessage, ctx: &mut Ctx<'_, Envelope>) {
         let key = keyed.lock;
@@ -552,70 +290,28 @@ impl LockSpaceNode {
             sh.keyed.on_message(key.index(), keyed.msg.kind());
             // Path tracing: every delivery of a REQUEST still carrying
             // `origin` is one hop of that request's DAG path.
-            if let DagMessage::Request { origin, .. } = keyed.msg {
+            if let DagMessage::Request { from: link, origin } = keyed.msg {
+                debug_assert_eq!(link, from, "REQUEST's X field must match the wire sender");
                 if let Some(hops) = sh.path_hops.get_mut(origin.index()) {
                     *hops += 1;
                 }
             }
+            self.core.deliver(keyed, &mut sh.seeds, &mut self.effects);
         }
-        match keyed.msg {
-            DagMessage::Request { from: link, origin } => {
-                debug_assert_eq!(link, from, "REQUEST's X field must match the wire sender");
-                let mut scratch = std::mem::take(&mut self.scratch);
-                self.instance(key)
-                    .receive_request_into(from, origin, &mut scratch);
-                self.scratch = scratch;
-            }
-            DagMessage::Privilege => {
-                self.table
-                    .get_mut(key)
-                    .expect("PRIVILEGE only travels to a node that requested")
-                    .receive_privilege_into(&mut self.scratch);
-            }
-            DagMessage::Initialize => {
-                unreachable!("lock spaces are pre-oriented; no INITIALIZE flood")
-            }
-        }
-        self.apply_actions(key, ctx);
-        // Lease fairness: note when a remote REQUEST first queues behind
-        // this node's occupancy of the key (the instance's FOLLOW
-        // pointer forms) — the budget clock starts here.
-        if self.config.lease.enabled() && self.lease_follow_since.is_none() {
-            let ours = match self.phase {
-                Phase::Waiting { key: k }
-                | Phase::Holding { key: k, .. }
-                | Phase::Leased { key: k, .. } => k == key,
-                Phase::Idle => false,
-            };
-            if ours
-                && self
-                    .table
-                    .get(key)
-                    .is_some_and(|inst| inst.follow().is_some())
-            {
-                self.lease_follow_since = Some(ctx.now());
-            }
-        }
+        self.apply_effects(ctx);
     }
 
-    /// Drains the per-key handler's actions: sends are staged (tagged
-    /// with `key`), an entry becomes a grant.
-    fn apply_actions(&mut self, key: LockId, ctx: &mut Ctx<'_, Envelope>) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for action in scratch.drain(..) {
-            match action {
-                Action::Send { to, message } => self.transport.stage(
-                    to,
-                    KeyedDagMessage {
-                        lock: key,
-                        msg: message,
-                    },
-                ),
-                Action::Enter => self.granted(key, ctx),
+    /// Drains the core's effects: sends are staged, an entry becomes a
+    /// grant.
+    fn apply_effects(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+        let mut effects = std::mem::take(&mut self.effects);
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => self.transport.stage(to, msg),
+                Effect::Enter(key) => self.granted(key, ctx),
             }
         }
-        debug_assert!(self.scratch.is_empty(), "nested apply_actions");
-        self.scratch = scratch;
+        self.effects = effects;
     }
 
     /// Ends a dispatch: with batching off, transmit everything staged
@@ -683,11 +379,6 @@ impl Protocol for LockSpaceNode {
                 self.release(key, ctx);
             }
         }
-        if let Phase::Leased { at, .. } = self.phase {
-            if at <= now {
-                self.regrant(ctx);
-            }
-        }
         if self.phase == Phase::Idle {
             if let Some((at, key)) = self.next_arrival {
                 if at <= now {
@@ -709,7 +400,7 @@ impl Protocol for LockSpaceNode {
     fn storage_words(&self) -> usize {
         // Three words per materialized instance (Chapter 6.4 per key),
         // plus the node's own phase/arrival bookkeeping.
-        3 * self.table.len() + 4
+        3 * self.core.len() + 4
     }
 }
 
@@ -725,8 +416,8 @@ impl LockSpace {
     /// # Panics
     ///
     /// Panics if `config.keys == 0`, `config.shards == 0`,
-    /// `config.flush` is invalid (see [`FlushPolicy::validate`]), or a
-    /// [`Placement::Hub`] names an out-of-range node.
+    /// `config.flush` is invalid (see [`FlushPolicy::validate`]), or the
+    /// placement is (see [`Placement::validate`]).
     pub fn cluster(
         tree: &Tree,
         config: LockSpaceConfig,
@@ -735,28 +426,13 @@ impl LockSpace {
         assert!(config.keys > 0, "lock space needs at least one key");
         config.flush.validate();
         let n = tree.len();
-        match &config.placement {
-            Placement::Hub(h) => {
-                assert!(h.index() < n, "hub {h} out of range for {n} nodes");
-            }
-            Placement::Profile(p) => {
-                assert!(
-                    !p.is_empty(),
-                    "placement profile must name at least one hub"
-                );
-                for h in p.iter() {
-                    assert!(h.index() < n, "profile hub {h} out of range for {n} nodes");
-                }
-            }
-            Placement::Modulo => {}
-        }
+        config.placement.validate(n);
         let shared = Rc::new(RefCell::new(Shared {
-            tree: tree.clone(),
+            seeds: Seeds::new(Arc::new(tree.clone()), config.placement.clone()),
             safety: KeyedSafetyChecker::with_keys(config.keys as usize),
             liveness: KeyedLivenessChecker::with_nodes(n),
             keyed: KeyedMetrics::with_keys(config.keys as usize).with_per_key_histograms(),
             pool: BatchPool::new(),
-            orientations: OrientationCache::new(n),
             violation: None,
             path_hops: if config.trace_paths {
                 vec![0; n]
@@ -764,21 +440,18 @@ impl LockSpace {
                 Vec::new()
             },
             path_hist: Histogram::default(),
-            lease_grants: 0,
         }));
         let nodes = tree
             .nodes()
             .map(|id| LockSpaceNode {
-                me: id,
                 config: config.clone(),
                 shared: Rc::clone(&shared),
-                table: LockTable::new(config.shards),
+                core: KeyedNode::new(id, config.shards),
                 stream: workload.stream(id),
                 next_arrival: None,
                 phase: Phase::Idle,
-                scratch: Vec::new(),
+                effects: Vec::new(),
                 transport: Transport::new(n, config.flush),
-                lease_follow_since: None,
             })
             .collect();
         (nodes, LockSpaceMonitor { shared })
@@ -863,12 +536,6 @@ impl LockSpaceMonitor {
     /// Empty unless [`LockSpaceConfig::trace_paths`] was set.
     pub fn path_histogram(&self) -> Histogram {
         self.shared.borrow().path_hist
-    }
-
-    /// Grants served under a holder lease — local re-grants that moved
-    /// zero messages and zero DAG hops. Always 0 with leases off.
-    pub fn lease_grants(&self) -> u64 {
-        self.shared.borrow().lease_grants
     }
 
     /// The `grants`-hottest keys, hottest first (ties by key id).
@@ -1213,86 +880,6 @@ mod tests {
         assert!(off.path_histogram().is_empty());
         assert_eq!(off.wait_histogram().count(), 2);
         assert_eq!(off.key_wait_histogram(LockId(0)).count(), 2);
-    }
-
-    #[test]
-    fn leased_regrants_move_no_messages() {
-        // A single hot node hammers one key with short think times: with
-        // a lease window covering the think time, every re-entry after
-        // the first acquisition is a leased local grant — the wire sees
-        // only the initial acquisition, and every re-grant is counted.
-        let tree = Tree::line(3);
-        let mut sched = KeyedSchedule::new(3);
-        for round in 0..10u64 {
-            sched.push(NodeId(2), Time(round * 3), LockId(0));
-        }
-        let config = LockSpaceConfig {
-            keys: 1,
-            placement: Placement::Hub(NodeId(0)),
-            hold: Time(1),
-            lease: LeaseConfig::new(8, 64),
-            ..LockSpaceConfig::default()
-        };
-        let (engine, monitor) = run(&tree, config, &sched);
-        assert_eq!(monitor.key_stats(LockId(0)).grants, 10);
-        assert_eq!(monitor.lease_grants(), 9, "all re-entries leased");
-        // 2 REQUEST hops + 1 direct PRIVILEGE for the first acquisition;
-        // nothing after.
-        assert_eq!(engine.metrics().messages_total, 3);
-    }
-
-    #[test]
-    fn lease_cedes_to_a_remote_waiter_past_the_fairness_budget() {
-        // Node 2 hammers key 0 back to back; node 0 asks once at t=5.
-        // With a generous window but a tight fairness budget, the lease
-        // must break soon after node 0's REQUEST queues, and node 0's
-        // wait stays bounded by budget + transfer.
-        let tree = Tree::line(3);
-        let mut sched = KeyedSchedule::new(3);
-        for round in 0..30u64 {
-            sched.push(NodeId(2), Time(round * 2), LockId(0));
-        }
-        sched.push(NodeId(0), Time(5), LockId(0));
-        let budget = 6u64;
-        let config = LockSpaceConfig {
-            keys: 1,
-            placement: Placement::Hub(NodeId(2)),
-            hold: Time(1),
-            lease: LeaseConfig::new(16, budget),
-            ..LockSpaceConfig::default()
-        };
-        let (_, monitor) = run(&tree, config, &sched);
-        assert_eq!(monitor.key_stats(LockId(0)).grants, 31);
-        assert!(monitor.lease_grants() > 0, "leases never engaged");
-        assert!(
-            monitor.lease_grants() < 30,
-            "lease never ceded to the remote waiter"
-        );
-        // The remote waiter's wait is bounded: budget plus the 2-hop
-        // REQUEST it already paid and the direct PRIVILEGE transfer.
-        let h = monitor.key_wait_histogram(LockId(0));
-        assert!(
-            h.max() <= budget + 4,
-            "remote wait {} exceeds fairness budget {budget} + transfer",
-            h.max()
-        );
-    }
-
-    #[test]
-    fn lease_off_is_the_default_and_counts_nothing() {
-        let tree = Tree::line(3);
-        let mut sched = KeyedSchedule::new(3);
-        for round in 0..5u64 {
-            sched.push(NodeId(2), Time(round * 3), LockId(0));
-        }
-        let config = LockSpaceConfig {
-            keys: 1,
-            placement: Placement::Hub(NodeId(0)),
-            ..LockSpaceConfig::default()
-        };
-        assert!(!config.lease.enabled());
-        let (_, monitor) = run(&tree, config, &sched);
-        assert_eq!(monitor.lease_grants(), 0);
     }
 
     #[test]

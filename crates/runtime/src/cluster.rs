@@ -1,7 +1,9 @@
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use dmx_core::{Action, DagMessage, DagNode, LockId};
+use dmx_core::{DagMessage, KeyedDagMessage, LockId};
+use dmx_lockspace::{Effect, KeyedNode, Placement, Seeds};
 use dmx_topology::{NodeId, Tree};
 
 use crate::client::{Endpoint, LockClient};
@@ -93,7 +95,7 @@ impl Cluster {
     pub fn start(tree: &Tree, holder: NodeId) -> (Cluster, Vec<LockClient>) {
         let n = tree.len();
         assert!(holder.index() < n, "holder out of range");
-        let orientation = tree.orient_toward(holder);
+        let seeds = single_key_seeds(tree, holder);
 
         let channels: Vec<(Sender<Input>, Receiver<Input>)> = (0..n).map(|_| unbounded()).collect();
         let txs: Vec<Sender<Input>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
@@ -101,14 +103,16 @@ impl Cluster {
         let mut joins = Vec::with_capacity(n);
         for (i, (_, rx)) in channels.into_iter().enumerate() {
             let me = NodeId::from_index(i);
-            let node = DagNode::from_orientation(&orientation, me);
+            let seeds = seeds.clone();
             let peers = txs.clone();
             let transmit = move |to: NodeId, from: NodeId, msg: DagMessage| {
                 // A send can only fail during shutdown, when the
                 // counters no longer matter.
                 let _ = peers[to.index()].send(Input::Net { from, msg });
             };
-            joins.push(std::thread::spawn(move || node_main(node, rx, transmit)));
+            joins.push(std::thread::spawn(move || {
+                node_main(me, seeds, rx, transmit)
+            }));
         }
 
         let clients = txs
@@ -170,57 +174,67 @@ pub(crate) fn make_client(node: NodeId, tx: Sender<Input>) -> LockClient {
     LockClient::new(node, 1, Box::new(ClusterEndpoint { tx }))
 }
 
-/// The per-node event loop: drives the pure state machine, handing its
-/// sends to `transmit` (channels here, sockets in [`crate::tcp`]), and
-/// the local user's acquisitions through the shared
-/// [`PendingSet`] pending/abandon machine.
-pub(crate) fn node_main<F>(mut node: DagNode, rx: Receiver<Input>, transmit: F) -> NodeStats
+/// Instance seeds for a single-lock cluster: one key whose token starts
+/// at `holder` — the paper's initial configuration.
+pub(crate) fn single_key_seeds(tree: &Tree, holder: NodeId) -> Seeds {
+    Seeds::new(Arc::new(tree.clone()), Placement::Hub(holder))
+}
+
+/// The per-node event loop: drives a one-key [`KeyedNode`] core, handing
+/// its sends to `transmit` (channels here, sockets in [`crate::tcp`]),
+/// and the local user's acquisitions through the shared [`PendingSet`]
+/// pending/abandon machine.
+pub(crate) fn node_main<F>(
+    me: NodeId,
+    mut seeds: Seeds,
+    rx: Receiver<Input>,
+    transmit: F,
+) -> NodeStats
 where
     F: Fn(NodeId, NodeId, DagMessage),
 {
     /// The single lock every slot of the pending machine refers to.
     const KEY: LockId = LockId(0);
 
-    let me = node.id();
+    let mut core: KeyedNode = KeyedNode::new(me, 1);
     let mut stats = NodeStats::default();
     let mut pending = PendingSet::new();
-    // Reused across the whole loop: the buffered DagNode handlers push
-    // into it, so steady-state message handling allocates nothing.
-    let mut actions: Vec<Action> = Vec::new();
+    // Reused across the whole loop, so steady-state message handling
+    // allocates nothing.
+    let mut effects: Vec<Effect> = Vec::new();
 
+    // Transmits the core's sends; reports whether it entered.
     fn send_all<F: Fn(NodeId, NodeId, DagMessage)>(
-        actions: &[Action],
+        effects: &mut Vec<Effect>,
         me: NodeId,
         stats: &mut NodeStats,
         transmit: &F,
     ) -> bool {
         let mut entered = false;
-        for action in actions {
-            match *action {
-                Action::Send { to, message } => {
-                    match message {
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => {
+                    match msg.msg {
                         DagMessage::Request { .. } => stats.requests_sent += 1,
                         DagMessage::Privilege => stats.privileges_sent += 1,
                         DagMessage::Initialize => {}
                     }
-                    transmit(to, me, message);
+                    transmit(to, me, msg.msg);
                 }
-                Action::Enter => entered = true,
+                Effect::Enter(_) => entered = true,
             }
         }
         entered
     }
 
-    // Resolves an Enter: hand the critical section to the waiting user,
-    // or — if the user abandoned — bounce straight out again. `actions`
-    // is the loop's scratch buffer (its previous contents are spent).
+    // Resolves an entry: hand the critical section to the waiting user,
+    // or — if the user abandoned — bounce straight out again.
     fn on_enter<F: Fn(NodeId, NodeId, DagMessage)>(
-        node: &mut DagNode,
+        core: &mut KeyedNode,
         pending: &mut PendingSet,
-        me: NodeId,
         stats: &mut NodeStats,
         transmit: &F,
-        actions: &mut Vec<Action>,
+        effects: &mut Vec<Effect>,
     ) {
         match pending.grant(KEY) {
             GrantAction::Deliver(ack) => {
@@ -229,9 +243,8 @@ where
             }
             GrantAction::AutoRelease => {
                 stats.abandoned += 1;
-                actions.clear();
-                node.exit_into(actions);
-                let entered = send_all(actions, me, stats, transmit);
+                core.release(KEY, effects);
+                let entered = send_all(effects, core.id(), stats, transmit);
                 debug_assert!(!entered, "exit never re-enters");
             }
         }
@@ -244,30 +257,19 @@ where
                 // acquisition: no new messages needed.
                 AcquireAction::Adopted => {}
                 AcquireAction::Issue => {
-                    assert!(!node.is_executing(), "Acquire while executing");
-                    actions.clear();
-                    node.request_into(&mut actions);
-                    if send_all(&actions, me, &mut stats, &transmit) {
-                        on_enter(
-                            &mut node,
-                            &mut pending,
-                            me,
-                            &mut stats,
-                            &transmit,
-                            &mut actions,
-                        );
+                    core.request(KEY, &mut seeds, &mut effects);
+                    if send_all(&mut effects, me, &mut stats, &transmit) {
+                        on_enter(&mut core, &mut pending, &mut stats, &transmit, &mut effects);
                     }
                 }
             },
             Input::TryAcquire(ack) => {
-                // Grant iff the token is parked here, idle, with no
-                // other acquisition engaged. (An abandoned request in
+                // Grant iff no other acquisition is engaged and the
+                // token is parked here, idle. (An abandoned request in
                 // flight implies the token is elsewhere, but check the
                 // slot anyway — it is the machine's source of truth.)
-                if node.has_token() && !node.is_executing() && !pending.is_engaged(KEY) {
-                    actions.clear();
-                    node.request_into(&mut actions);
-                    let entered = send_all(&actions, me, &mut stats, &transmit);
+                if !pending.is_engaged(KEY) && core.try_request(KEY, &mut seeds, &mut effects) {
+                    let entered = send_all(&mut effects, me, &mut stats, &transmit);
                     debug_assert!(entered, "a holding idle node enters locally");
                     stats.entries += 1;
                     let _ = ack.send(Reply::Granted);
@@ -276,13 +278,13 @@ where
                 }
             }
             Input::Release => {
-                actions.clear();
-                node.exit_into(&mut actions);
-                let entered = send_all(&actions, me, &mut stats, &transmit);
+                core.release(KEY, &mut effects);
+                let entered = send_all(&mut effects, me, &mut stats, &transmit);
                 debug_assert!(!entered);
             }
             Input::AbandonAcquire => {
-                match pending.abandon(KEY, node.is_executing()) {
+                let executing = core.instance(KEY).is_some_and(|node| node.is_executing());
+                match pending.abandon(KEY, executing) {
                     // Normal case: still waiting; the grant will
                     // auto-release on arrival.
                     AbandonAction::Marked | AbandonAction::Stale => {}
@@ -290,31 +292,19 @@ where
                     // user timed out anyway — leave immediately.
                     AbandonAction::ReleaseNow => {
                         stats.abandoned += 1;
-                        actions.clear();
-                        node.exit_into(&mut actions);
-                        send_all(&actions, me, &mut stats, &transmit);
+                        core.release(KEY, &mut effects);
+                        send_all(&mut effects, me, &mut stats, &transmit);
                     }
                 }
             }
             Input::Net { from, msg } => {
-                actions.clear();
-                match msg {
-                    DagMessage::Request { from: link, origin } => {
-                        debug_assert_eq!(link, from);
-                        node.receive_request_into(from, origin, &mut actions);
-                    }
-                    DagMessage::Privilege => node.receive_privilege_into(&mut actions),
-                    DagMessage::Initialize => {} // pre-oriented start-up
-                }
-                if send_all(&actions, me, &mut stats, &transmit) {
-                    on_enter(
-                        &mut node,
-                        &mut pending,
-                        me,
-                        &mut stats,
-                        &transmit,
-                        &mut actions,
-                    );
+                debug_assert!(
+                    !matches!(msg, DagMessage::Request { from: link, .. } if link != from),
+                    "REQUEST's X field must match the wire sender"
+                );
+                core.deliver(KeyedDagMessage { lock: KEY, msg }, &mut seeds, &mut effects);
+                if send_all(&mut effects, me, &mut stats, &transmit) {
+                    on_enter(&mut core, &mut pending, &mut stats, &transmit, &mut effects);
                 }
             }
             Input::Shutdown => break,

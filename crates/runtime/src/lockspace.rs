@@ -8,10 +8,11 @@
 //! Each node is a small thread group:
 //!
 //! * **per-shard workers** (one or more, [`LockSpaceClusterConfig::workers`])
-//!   each own the lazily-materialized [`LockTable`] slice for the keys
-//!   hashed to them — the same sharded table, the same lazy-orientation
-//!   soundness argument — and drive the pure per-key [`DagNode`]
-//!   handlers, pushing sends into a per-worker outbox;
+//!   each run a [`KeyedNode`] core for the keys hashed to them — the
+//!   same keyed core every other driver in the workspace runs (the
+//!   simulated lock space, the session executor, the parallel engine's
+//!   shards, and the single-key node loop behind [`Cluster`] and
+//!   [`TcpCluster`]) — and ship each call's sends back as an outbox;
 //! * a **router** thread that unwraps incoming [`Envelope`]s, fans the
 //!   keyed messages out to the owning workers, merges the workers'
 //!   outboxes into one shared [`Transport`] (`dmx-lockspace`'s
@@ -31,6 +32,15 @@
 //! Locking key `k` from node `i` still runs exactly the per-key
 //! algorithm the simulator measures: `REQUEST`s hop toward `k`'s sink,
 //! the `PRIVILEGE` parks where demand is.
+//!
+//! Every driver is an adapter over the one core: the core owns the
+//! per-key protocol state and its transitions, the adapter owns the
+//! I/O (here: channels and the router's transport), the clock (none —
+//! the threaded runtime is tickless), and the user-side policy (here:
+//! the router's pending/abandon set).
+//!
+//! [`Cluster`]: crate::Cluster
+//! [`TcpCluster`]: crate::tcp::TcpCluster
 //!
 //! # Examples
 //!
@@ -60,9 +70,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use dmx_core::{Action, DagMessage, DagNode, KeyedDagMessage, LockId};
+use dmx_core::{DagMessage, KeyedDagMessage, LockId};
 use dmx_lockspace::{
-    BatchPool, Envelope, FlushPolicy, LockTable, OrientationCache, Placement, Transport,
+    BatchPool, Effect, Envelope, FlushPolicy, KeyedNode, Placement, Seeds, Transport,
 };
 use dmx_topology::{NodeId, Tree};
 
@@ -176,12 +186,7 @@ enum WorkerJob {
     /// Local user releases `key`.
     Release(LockId),
     /// A keyed protocol message from a peer.
-    Net {
-        /// Wire sender.
-        from: NodeId,
-        /// Payload.
-        msg: KeyedDagMessage,
-    },
+    Net(KeyedDagMessage),
     /// Report the table slice as a [`NodeMsg::WorkerCut`]. Queue
     /// position is the worker's cut point: every job ahead of it is
     /// pre-cut, everything behind post-cut.
@@ -382,8 +387,8 @@ impl LockSpaceCluster {
     /// # Panics
     ///
     /// Panics if `config.keys == 0`, `config.workers == 0`,
-    /// `config.flush` is invalid (see [`FlushPolicy::validate`]), or a
-    /// [`Placement::Hub`] names an out-of-range node.
+    /// `config.flush` is invalid (see [`FlushPolicy::validate`]), or the
+    /// placement is (see [`Placement::validate`]).
     pub fn start_with(
         tree: &Tree,
         config: LockSpaceClusterConfig,
@@ -392,13 +397,11 @@ impl LockSpaceCluster {
         assert!(config.workers > 0, "lock space needs at least one worker");
         config.flush.validate();
         let n = tree.len();
-        if let Placement::Hub(h) = config.placement {
-            assert!(h.index() < n, "hub {h} out of range for {n} nodes");
-        }
-        // Each worker lazily caches the orientations of the hubs it
-        // actually touches (computing one up front per node would cost
-        // O(n²) before the first lock is served); only the tree itself
-        // is shared.
+        config.placement.validate(n);
+        // Each worker's seeds lazily cache the orientations of the hubs
+        // it actually touches (computing one up front per node would
+        // cost O(n²) before the first lock is served); only the tree
+        // itself is shared.
         let tree = Arc::new(tree.clone());
 
         let channels: Vec<(Sender<NodeMsg>, Receiver<NodeMsg>)> =
@@ -415,12 +418,9 @@ impl LockSpaceCluster {
             for _ in 0..config.workers {
                 let (jtx, jrx) = unbounded::<WorkerJob>();
                 let out = self_tx.clone();
-                let tree = Arc::clone(&tree);
-                let placement = config.placement.clone();
+                let seeds = Seeds::new(Arc::clone(&tree), config.placement.clone());
                 worker_txs.push(jtx);
-                worker_joins.push(std::thread::spawn(move || {
-                    worker_main(me, n, placement, tree, jrx, out)
-                }));
+                worker_joins.push(std::thread::spawn(move || worker_main(me, seeds, jrx, out)));
             }
             drop(self_tx);
             joins.push(std::thread::spawn(move || {
@@ -534,51 +534,47 @@ impl LockService for LockSpaceCluster {
     }
 }
 
-/// One per-shard worker: drives the pure [`DagNode`] handlers for every
-/// key hashed to it, returning each dispatch's outbox to the router for
-/// the transport merge.
+/// One per-shard worker: drives a [`KeyedNode`] core for every key
+/// hashed to it, returning each dispatch's outbox to the router for the
+/// transport merge.
 fn worker_main(
     me: NodeId,
-    n: usize,
-    placement: Placement,
-    tree: Arc<Tree>,
+    mut seeds: Seeds,
     rx: Receiver<WorkerJob>,
     out: Sender<NodeMsg>,
 ) -> WorkerStats {
     let mut stats = WorkerStats::default();
-    let mut table: LockTable = LockTable::new(16);
-    // Orientations of the hubs this worker has seen traffic for, filled
-    // on first use — untouched hubs cost nothing, like untouched keys.
-    let mut orientations = OrientationCache::new(n);
+    let mut core: KeyedNode = KeyedNode::new(me, 16);
     // Reused across dispatches; the per-dispatch outbox is harvested
     // from it before being shipped to the router.
-    let mut actions: Vec<Action> = Vec::new();
-
-    fn materialize<'t>(
-        table: &'t mut LockTable,
-        key: LockId,
-        me: NodeId,
-        placement: &Placement,
-        tree: &Tree,
-        orientations: &mut OrientationCache,
-    ) -> &'t mut DagNode {
-        // The same materialization seed the simulated lock space uses.
-        table.get_or_insert_with(key, move || {
-            placement.initial_instance(key, me, tree, orientations)
-        })
-    }
+    let mut effects: Vec<Effect> = Vec::new();
 
     while let Ok(job) = rx.recv() {
-        let key = match &job {
-            WorkerJob::Acquire(key) | WorkerJob::TryAcquire(key) | WorkerJob::Release(key) => *key,
-            WorkerJob::Net { msg, .. } => msg.lock,
+        let mut refused = None;
+        match job {
+            WorkerJob::Acquire(key) => {
+                core.request(key, &mut seeds, &mut effects);
+            }
+            WorkerJob::TryAcquire(key) => {
+                // Enters only if the token is parked here, idle: local
+                // and free.
+                if !core.try_request(key, &mut seeds, &mut effects) {
+                    refused = Some(key);
+                }
+            }
+            WorkerJob::Release(key) => {
+                core.release(key, &mut effects);
+            }
+            WorkerJob::Net(msg) => {
+                core.deliver(msg, &mut seeds, &mut effects);
+            }
             WorkerJob::Snapshot => {
                 // The cut point for this worker's shard: every job the
                 // router dispatched before the cut has been applied to
                 // the table (per-channel FIFO), nothing after it has.
-                let cut = table
+                let cut = core
                     .iter()
-                    .map(|(key, inst)| KeyCut {
+                    .map(|(key, inst, _)| KeyCut {
                         key,
                         has_token: inst.has_token(),
                         executing: inst.is_executing(),
@@ -589,64 +585,20 @@ fn worker_main(
                 continue;
             }
             WorkerJob::Shutdown => break,
-        };
-        actions.clear();
-        let mut refused = None;
-        match job {
-            WorkerJob::Acquire(key) => {
-                materialize(&mut table, key, me, &placement, &tree, &mut orientations)
-                    .request_into(&mut actions);
-            }
-            WorkerJob::TryAcquire(key) => {
-                let instance =
-                    materialize(&mut table, key, me, &placement, &tree, &mut orientations);
-                if instance.has_token() && !instance.is_executing() {
-                    // The token is parked here, idle: entering is local
-                    // and free (request_into yields a bare Enter).
-                    instance.request_into(&mut actions);
-                } else {
-                    refused = Some(key);
-                }
-            }
-            WorkerJob::Release(key) => {
-                table
-                    .get_mut(key)
-                    .expect("released key is materialized")
-                    .exit_into(&mut actions);
-            }
-            WorkerJob::Net { from, msg } => match msg.msg {
-                DagMessage::Request { from: link, origin } => {
-                    debug_assert_eq!(link, from);
-                    materialize(&mut table, key, me, &placement, &tree, &mut orientations)
-                        .receive_request_into(from, origin, &mut actions);
-                }
-                DagMessage::Privilege => table
-                    .get_mut(key)
-                    .expect("PRIVILEGE only travels to a requester")
-                    .receive_privilege_into(&mut actions),
-                DagMessage::Initialize => {} // pre-oriented start-up
-            },
-            WorkerJob::Snapshot | WorkerJob::Shutdown => unreachable!("handled above"),
         }
-        let mut sends = Vec::with_capacity(actions.len());
+        let mut sends = Vec::with_capacity(effects.len());
         let mut entered = None;
-        for action in &actions {
-            match *action {
-                Action::Send { to, message } => {
-                    match message {
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => {
+                    match msg.msg {
                         DagMessage::Request { .. } => stats.requests_sent += 1,
                         DagMessage::Privilege => stats.privileges_sent += 1,
                         DagMessage::Initialize => {}
                     }
-                    sends.push((
-                        to,
-                        KeyedDagMessage {
-                            lock: key,
-                            msg: message,
-                        },
-                    ));
+                    sends.push((to, msg));
                 }
-                Action::Enter => entered = Some(key),
+                Effect::Enter(key) => entered = Some(key),
             }
         }
         // The reply can only fail during shutdown, when the router no
@@ -657,7 +609,7 @@ fn worker_main(
             refused,
         }));
     }
-    stats.keys_materialized = table.len();
+    stats.keys_materialized = core.len();
     stats
 }
 
@@ -852,11 +804,11 @@ fn router_main(
                 }
                 match envelope {
                     Envelope::One(msg) => {
-                        dispatch!(msg.lock, WorkerJob::Net { from, msg });
+                        dispatch!(msg.lock, WorkerJob::Net(msg));
                     }
                     Envelope::Batch(mut batch) => {
                         for msg in batch.drain(..) {
-                            dispatch!(msg.lock, WorkerJob::Net { from, msg });
+                            dispatch!(msg.lock, WorkerJob::Net(msg));
                         }
                         // The drained payload joins this node's own pool:
                         // cross-node buffer recycling.
@@ -1413,6 +1365,28 @@ mod tests {
         let config = LockSpaceClusterConfig {
             keys: 4,
             workers: 0,
+            ..LockSpaceClusterConfig::default()
+        };
+        let _ = LockSpaceCluster::start_with(&Tree::line(2), config);
+    }
+
+    #[test]
+    #[should_panic(expected = "placement profile must name at least one hub")]
+    fn empty_profile_is_rejected_at_cluster_start() {
+        let config = LockSpaceClusterConfig {
+            keys: 4,
+            placement: Placement::Profile(Arc::new(Vec::new())),
+            ..LockSpaceClusterConfig::default()
+        };
+        let _ = LockSpaceCluster::start_with(&Tree::line(2), config);
+    }
+
+    #[test]
+    #[should_panic(expected = "profile hub n5 out of range for 2 nodes")]
+    fn out_of_range_profile_hub_is_rejected_at_cluster_start() {
+        let config = LockSpaceClusterConfig {
+            keys: 4,
+            placement: Placement::Profile(Arc::new(vec![NodeId(0), NodeId(5)])),
             ..LockSpaceClusterConfig::default()
         };
         let _ = LockSpaceCluster::start_with(&Tree::line(2), config);

@@ -34,7 +34,7 @@ use dmx_topology::{NodeId, Tree};
 use parking_lot::Mutex;
 
 use crate::client::LockClient;
-use crate::cluster::{make_client, node_main, Input};
+use crate::cluster::{make_client, node_main, single_key_seeds, Input};
 use crate::service::LockService;
 use crate::stats::{ClusterStats, NodeStats};
 
@@ -118,7 +118,7 @@ impl TcpCluster {
     pub fn start(tree: &Tree, holder: NodeId) -> io::Result<(TcpCluster, Vec<LockClient>)> {
         let n = tree.len();
         assert!(holder.index() < n, "holder out of range");
-        let orientation = tree.orient_toward(holder);
+        let seeds = single_key_seeds(tree, holder);
         let stop = Arc::new(AtomicBool::new(false));
 
         // Bind all listeners first so every address is known before any
@@ -147,7 +147,7 @@ impl TcpCluster {
         let mut node_joins = Vec::with_capacity(n);
         for (i, (_, rx)) in channels.into_iter().enumerate() {
             let me = NodeId::from_index(i);
-            let node = dmx_core::DagNode::from_orientation(&orientation, me);
+            let seeds = seeds.clone();
             let peers = addrs.clone();
             let outgoing: Arc<Mutex<Vec<Option<TcpStream>>>> =
                 Arc::new(Mutex::new((0..n).map(|_| None).collect()));
@@ -176,7 +176,9 @@ impl TcpCluster {
                     let _ = attempt;
                 }
             };
-            node_joins.push(std::thread::spawn(move || node_main(node, rx, transmit)));
+            node_joins.push(std::thread::spawn(move || {
+                node_main(me, seeds, rx, transmit)
+            }));
         }
 
         let clients = (0..n)

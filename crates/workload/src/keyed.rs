@@ -253,8 +253,8 @@ impl KeyStream for ThinkStream {
 ///
 /// This is the demand shape real caches and shard routers produce: a
 /// key's traffic concentrates at one node with a thin global tail. It
-/// is what holder leases exploit (back-to-back local claims) and what
-/// skew-aware hub placement targets ([`KeyedAffinity::hub_profile`]
+/// is what path reversal exploits (back-to-back local claims re-grant
+/// off the parked token) and what skew-aware hub placement targets ([`KeyedAffinity::hub_profile`]
 /// names each key's hottest node). [`KeyedThinkTime`]'s symmetric skew
 /// cannot produce it: there every node is equally likely to draw the
 /// hot key, so consecutive same-node claims stay rare — and no token

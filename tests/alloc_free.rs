@@ -27,8 +27,8 @@ use dagmutex::baselines::ricart_agrawala::RicartAgrawalaProtocol;
 use dagmutex::baselines::suzuki_kasami::SuzukiKasamiProtocol;
 use dagmutex::core::DagProtocol;
 use dagmutex::lockspace::{
-    FlushPolicy, LeaseConfig, LockSpace, LockSpaceConfig, ParallelConfig, ParallelEngine,
-    Placement, ShardMap, WindowPolicy,
+    FlushPolicy, LockSpace, LockSpaceConfig, ParallelConfig, ParallelEngine, Placement, ShardMap,
+    WindowPolicy,
 };
 use dagmutex::simnet::{Engine, EngineConfig, LatencyModel, Protocol, Scheduler, Time};
 use dagmutex::topology::{NodeId, Tree};
@@ -130,12 +130,7 @@ fn assert_single_lock_alloc_free<P: Protocol>(label: &str, scheduler: Scheduler,
 /// recording is allocation-free. With `trace_paths` set, per-request DAG
 /// hop counting feeds a second histogram from pre-sized per-origin
 /// slots, which must be just as free.
-fn assert_lockspace_alloc_free(
-    scheduler: Scheduler,
-    flush: FlushPolicy,
-    trace_paths: bool,
-    lease: LeaseConfig,
-) {
+fn assert_lockspace_alloc_free(scheduler: Scheduler, flush: FlushPolicy, trace_paths: bool) {
     let n = 15;
     let tree = Tree::kary(n, 2);
     // Saturated keyed closed loop: think time zero, enough rounds that
@@ -154,7 +149,6 @@ fn assert_lockspace_alloc_free(
         batching: true,
         flush,
         trace_paths,
-        lease,
         ..LockSpaceConfig::default()
     };
     let (nodes, monitor) = LockSpace::cluster(&tree, config, &workload);
@@ -215,24 +209,14 @@ fn assert_lockspace_alloc_free(
             "path tracing must have recorded hop counts"
         );
     }
-    if lease.enabled() {
-        // The zipf hot keys re-grant locally: the leased release path
-        // (stream peek, fairness check, local re-enter, wake push) ran
-        // inside the allocation-free window.
-        assert!(
-            monitor.lease_grants() > 0,
-            "the lease-enabled phase must serve leased re-grants"
-        );
-    }
     let rounds = quiet_after_rounds.expect(
         "steady-state multiplexed Engine::step must stop allocating with \
          batching on, but every warm-up window still allocated",
     );
     println!(
-        "alloc_free: lockspace ({scheduler:?}, {flush:?}, trace_paths={trace_paths}, \
-         lease={}) ok (0 allocations across {STEPS} steady-state steps, \
-         {quiet_recorded} waits histogrammed, after {rounds} warm-up rounds)",
-        lease.window
+        "alloc_free: lockspace ({scheduler:?}, {flush:?}, trace_paths={trace_paths}) ok \
+         (0 allocations across {STEPS} steady-state steps, \
+         {quiet_recorded} waits histogrammed, after {rounds} warm-up rounds)"
     );
 }
 
@@ -384,18 +368,10 @@ fn main() {
         // window (the transport layer's Nagle path must be just as
         // allocation-free as its same-tick path). Wait histograms are
         // always on; the third variant adds per-request DAG path
-        // tracing, the full observability load; the fourth turns holder
-        // leases on, so hot-key local re-grants (stream peek + fairness
-        // check + zero-message re-enter) run inside the measured window.
-        assert_lockspace_alloc_free(scheduler, FlushPolicy::EveryTick, false, LeaseConfig::OFF);
-        assert_lockspace_alloc_free(scheduler, FlushPolicy::Window(4), false, LeaseConfig::OFF);
-        assert_lockspace_alloc_free(scheduler, FlushPolicy::EveryTick, true, LeaseConfig::OFF);
-        assert_lockspace_alloc_free(
-            scheduler,
-            FlushPolicy::EveryTick,
-            false,
-            LeaseConfig::new(8, 16),
-        );
+        // tracing, the full observability load.
+        assert_lockspace_alloc_free(scheduler, FlushPolicy::EveryTick, false);
+        assert_lockspace_alloc_free(scheduler, FlushPolicy::Window(4), false);
+        assert_lockspace_alloc_free(scheduler, FlushPolicy::EveryTick, true);
     }
 
     // Phase 4: the parallel tick-barrier runtime — the default modulo

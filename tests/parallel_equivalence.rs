@@ -12,7 +12,7 @@
 //! fresh runs agreeing with each other.
 
 use dagmutex::core::LockId;
-use dagmutex::lockspace::{LeaseConfig, Placement};
+use dagmutex::lockspace::Placement;
 use dagmutex::lockspace::{ParallelConfig, ParallelEngine, ParallelReport, ShardMap, WindowPolicy};
 use dagmutex::simnet::Time;
 use dagmutex::topology::{NodeId, Tree};
@@ -140,28 +140,6 @@ proptest! {
         prop_assert_eq!(thr.critical_path_events, seq.critical_path_events);
     }
 
-    /// (d) Holder leases stay shard-invariant: lease decisions depend
-    /// only on per-key state, so K = 1, 2, 4, 8 agree on every
-    /// deterministic field — including how many grants were leased —
-    /// for random lease windows and fairness budgets.
-    #[test]
-    fn leased_runs_stay_shard_invariant(
-        (tree, demand, hold, placement) in cell(),
-        window in 1u64..16,
-        budget in 0u64..32,
-    ) {
-        let lease = LeaseConfig::new(window, budget);
-        let base = run_leased(&tree, demand, hold, &placement, 1, lease);
-        prop_assert!(base.violation.is_none(), "{:?}", base.violation);
-        prop_assert_eq!(base.starved, 0);
-        prop_assert_eq!(base.grants, demand.total_requests());
-        for shards in [2usize, 4, 8] {
-            let report = run_leased(&tree, demand, hold, &placement, shards, lease);
-            prop_assert_eq!(face(&report), face(&base), "K={}", shards);
-            prop_assert_eq!(report.lease_grants, base.lease_grants, "K={}", shards);
-        }
-    }
-
     /// (e) Shard maps never change results: a demand-balanced LPT map
     /// over the cell's own profile agrees with the modulo map on the
     /// whole deterministic face, at K ∈ {1, 2, 4, 8}, threaded and
@@ -261,31 +239,6 @@ fn skewed_cell() -> impl Strategy<Value = (Tree, PacedKeyDemand, Time, Placement
             };
             (tree, demand, Time(hold), placement)
         })
-}
-
-fn run_leased(
-    tree: &Tree,
-    demand: PacedKeyDemand,
-    hold: Time,
-    placement: &Placement,
-    shards: usize,
-    lease: LeaseConfig,
-) -> ParallelReport {
-    ParallelEngine::new(
-        tree,
-        demand,
-        ParallelConfig {
-            shards,
-            window: WindowPolicy::Fixed(64),
-            threads: false,
-            hold,
-            placement: placement.clone(),
-            lease,
-            record_grants: true,
-            ..ParallelConfig::default()
-        },
-    )
-    .run()
 }
 
 /// The golden pin: one configuration, every load-bearing number
