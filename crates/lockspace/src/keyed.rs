@@ -263,7 +263,11 @@ impl<P> KeyedNode<P> {
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn with_payload(me: NodeId, shards: usize, fresh: impl Fn() -> P + Send + 'static) -> Self {
+    pub(crate) fn with_payload(
+        me: NodeId,
+        shards: usize,
+        fresh: impl Fn() -> P + Send + 'static,
+    ) -> Self {
         KeyedNode {
             me,
             table: LockTable::new(shards),
@@ -301,7 +305,7 @@ impl<P> KeyedNode<P> {
     }
 
     /// `key`'s instance and payload, materialized on first touch.
-    pub fn slot(&mut self, key: LockId, seeds: &mut Seeds) -> Slot<'_, P> {
+    pub(crate) fn slot(&mut self, key: LockId, seeds: &mut Seeds) -> Slot<'_, P> {
         let me = self.me;
         let fresh = &self.fresh;
         let (node, payload) = self
@@ -363,8 +367,9 @@ impl<P> KeyedNode<P> {
     ///
     /// # Panics
     ///
-    /// Panics on a `PRIVILEGE` for a key this node is not requesting,
-    /// and on `INITIALIZE` (lock spaces start pre-oriented).
+    /// Panics on a `PRIVILEGE` for a key this node is not requesting
+    /// (see [`DagNode::receive_privilege`]), and on `INITIALIZE` (lock
+    /// spaces start pre-oriented).
     pub fn deliver(
         &mut self,
         msg: KeyedDagMessage,
@@ -372,26 +377,22 @@ impl<P> KeyedNode<P> {
         out: &mut Vec<Effect>,
     ) -> &mut P {
         let key = msg.lock;
-        let (node, payload) = if let DagMessage::Request { .. } = msg.msg {
-            let me = self.me;
-            let fresh = &self.fresh;
-            self.table
-                .get_or_insert_with(key, || (seeds.instance(key, me), fresh()))
-        } else {
-            self.table
-                .get_mut(key)
-                .expect("PRIVILEGE only travels to a node that requested")
-        };
+        let Slot {
+            node,
+            payload,
+            actions,
+            ..
+        } = self.slot(key, seeds);
         match msg.msg {
             DagMessage::Request { from, origin } => {
-                node.receive_request_into(from, origin, &mut self.actions);
+                node.receive_request_into(from, origin, actions);
             }
-            DagMessage::Privilege => node.receive_privilege_into(&mut self.actions),
+            DagMessage::Privilege => node.receive_privilege_into(actions),
             DagMessage::Initialize => {
                 unreachable!("lock spaces are pre-oriented; no INITIALIZE flood")
             }
         }
-        emit(key, &mut self.actions, out);
+        emit(key, actions, out);
         payload
     }
 }
@@ -399,7 +400,7 @@ impl<P> KeyedNode<P> {
 /// A materialized instance and its payload, borrowed from a
 /// [`KeyedNode`] by [`KeyedNode::slot`]: inspect the instance, use the
 /// payload, or issue the local request — all off one table lookup.
-pub struct Slot<'a, P> {
+pub(crate) struct Slot<'a, P> {
     key: LockId,
     node: &'a mut DagNode,
     payload: &'a mut P,
@@ -408,12 +409,12 @@ pub struct Slot<'a, P> {
 
 impl<'a, P> Slot<'a, P> {
     /// The key's protocol instance.
-    pub fn node(&self) -> &DagNode {
+    pub(crate) fn node(&self) -> &DagNode {
         self.node
     }
 
     /// The key's payload.
-    pub fn payload(&mut self) -> &mut P {
+    pub(crate) fn payload(&mut self) -> &mut P {
         self.payload
     }
 
@@ -422,7 +423,7 @@ impl<'a, P> Slot<'a, P> {
     /// # Panics
     ///
     /// Panics if the key is already requested or held here.
-    pub fn request(self, out: &mut Vec<Effect>) -> &'a mut P {
+    pub(crate) fn request(self, out: &mut Vec<Effect>) -> &'a mut P {
         self.node.request_into(self.actions);
         emit(self.key, self.actions, out);
         self.payload

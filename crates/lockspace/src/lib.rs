@@ -88,7 +88,7 @@ mod table;
 pub mod transport;
 
 pub use envelope::{Envelope, BATCH_HEADER_BYTES};
-pub use keyed::{Effect, KeyedNode, OrientationCache, Placement, Seeds, Slot};
+pub use keyed::{Effect, KeyedNode, OrientationCache, Placement, Seeds};
 pub use parallel::{ParallelConfig, ParallelEngine, ParallelReport, ShardMap, WindowPolicy};
 pub use session::{ScriptedClient, SessionConfig, SessionMonitor};
 pub use space::{LockSpace, LockSpaceConfig, LockSpaceMonitor, LockSpaceNode};

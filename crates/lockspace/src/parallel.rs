@@ -479,7 +479,7 @@ enum Ev {
 /// queue. Overlapping arrivals at the same node for the same key wait
 /// here and re-issue FIFO on release, so the DAG instance always has at
 /// most one outstanding request.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Arrivals {
     /// Arrival time of the request currently outstanding (wait base).
     wait_since: Time,
