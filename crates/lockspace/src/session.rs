@@ -33,7 +33,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-
 use std::sync::Arc;
 
 use dmx_core::{KeyedDagMessage, LockId};
@@ -231,26 +230,23 @@ impl ScriptedClient {
 
     /// Records `key` entered (safety oracle) at `now`.
     fn note_enter(&mut self, key: LockId, now: Time) {
-        let me = self.id();
         let mut sh = self.shared.borrow_mut();
-        let r = sh.safety.on_enter(key.index(), me, now).err();
+        let r = sh.safety.on_enter(key.index(), self.id(), now).err();
         sh.note(r);
     }
 
     /// Opens `key`'s liveness interval: the local user starts waiting.
     fn note_request(&mut self, key: LockId, now: Time) {
-        let me = self.id();
         let mut sh = self.shared.borrow_mut();
-        let r = sh.liveness.on_request(me, key.index(), now).err();
+        let r = sh.liveness.on_request(self.id(), key.index(), now).err();
         sh.note(r);
     }
 
     /// Closes `key`'s liveness interval as a grant and records the
     /// request→grant wait in the session's distribution.
     fn note_grant(&mut self, key: LockId, now: Time) {
-        let me = self.id();
         let mut sh = self.shared.borrow_mut();
-        match sh.liveness.on_grant(me, key.index(), now) {
+        match sh.liveness.on_grant(self.id(), key.index(), now) {
             Ok(since) => sh.waits.record(now.saturating_since(since).ticks()),
             Err(v) => sh.note(Some(v)),
         }
@@ -260,9 +256,8 @@ impl ScriptedClient {
     /// up, so the wait resolved (not starved) but was never served —
     /// it stays out of the grant-wait distribution.
     fn note_abandoned(&mut self, key: LockId, now: Time) {
-        let me = self.id();
         let mut sh = self.shared.borrow_mut();
-        let r = sh.liveness.on_grant(me, key.index(), now).err();
+        let r = sh.liveness.on_grant(self.id(), key.index(), now).err();
         sh.note(r);
     }
 
@@ -270,9 +265,8 @@ impl ScriptedClient {
     fn exit_key(&mut self, key: LockId, ctx: &mut Ctx<'_, Envelope>) {
         let now = ctx.now();
         {
-            let me = self.id();
             let mut sh = self.shared.borrow_mut();
-            let r = sh.safety.on_exit(key.index(), me, now).err();
+            let r = sh.safety.on_exit(key.index(), self.id(), now).err();
             sh.note(r);
         }
         self.core.release(key, &mut self.effects);
