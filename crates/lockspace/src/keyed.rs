@@ -510,6 +510,22 @@ mod tests {
     }
 
     #[test]
+    fn hub_placement_seeds_the_papers_initial_configuration() {
+        // The single-key clusters rely on this: one key under
+        // `Hub(holder)` materializes exactly the `INIT`-flood result.
+        let tree = Tree::kary(13, 3);
+        let holder = NodeId(6);
+        let orientation = tree.orient_toward(holder);
+        let mut seeds = seeds(tree.clone(), Placement::Hub(holder));
+        for me in tree.nodes() {
+            assert_eq!(
+                seeds.instance(LockId(0), me),
+                DagNode::from_orientation(&orientation, me)
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at least one hub")]
     fn empty_profile_is_invalid() {
         Placement::Profile(Arc::new(Vec::new())).validate(3);
