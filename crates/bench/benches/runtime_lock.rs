@@ -1,11 +1,13 @@
-//! Benchmarks the threaded distributed-lock runtime: parked-token
+//! Benchmarks the threaded distributed-lock runtimes: parked-token
 //! re-acquisition (the hot path the paper's token residence enables),
 //! the free refusal of `try_now` on a remote token, and the remote
-//! hand-off between two leaves of a star.
+//! hand-off between two leaves of a star — on the single-key `Cluster`
+//! and, for the last two, on the multi-key `LockSpaceCluster`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmx_core::LockId;
-use dmx_runtime::{Cluster, LockError};
+use dmx_lockspace::Placement;
+use dmx_runtime::{Cluster, LockError, LockSpaceCluster};
 use dmx_topology::{NodeId, Tree};
 
 fn bench(c: &mut Criterion) {
@@ -43,6 +45,33 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             drop(c1.lock(LockId(0)).wait().unwrap()); // token to node 1
             drop(c2.lock(LockId(0)).wait().unwrap()); // 3 messages to node 2
+        });
+        drop(clients);
+        cluster.shutdown();
+    });
+
+    c.bench_function("runtime/lockspace_try_now_remote_refusal", |b| {
+        // Every key's token starts at node 1, so node 2's try is refused
+        // by its own shard thread: one client round trip, no messages.
+        let (cluster, mut clients) =
+            LockSpaceCluster::start(&Tree::star(4), 64, Placement::Hub(NodeId(1)));
+        b.iter(|| {
+            let refused = clients[2].lock(LockId(7)).try_now();
+            assert!(matches!(refused, Err(LockError::WouldBlock)));
+        });
+        drop(clients);
+        cluster.shutdown();
+    });
+
+    c.bench_function("runtime/lockspace_remote_handoff_star", |b| {
+        let (cluster, mut clients) =
+            LockSpaceCluster::start(&Tree::star(4), 64, Placement::Hub(NodeId(1)));
+        let (left, right) = clients.split_at_mut(2);
+        let c1 = &mut left[1];
+        let c2 = &mut right[0];
+        b.iter(|| {
+            drop(c1.lock(LockId(7)).wait().unwrap()); // key 7's token to node 1
+            drop(c2.lock(LockId(7)).wait().unwrap()); // 3 messages to node 2
         });
         drop(clients);
         cluster.shutdown();

@@ -17,7 +17,7 @@
 //!   `deliver`) that append keyed sends and entries to a caller-owned
 //!   buffer. The five drivers — [`LockSpaceNode`], [`ScriptedClient`],
 //!   the [`parallel`] engine's shards, and `dmx-runtime`'s threaded
-//!   workers and single-key node loop — are thin adapters over it that
+//!   shard loop and single-key node loop — are thin adapters over it that
 //!   keep only their I/O, their clock, and their user-side policy;
 //! * [`LockTable`] — the core's sharded `LockId -> instance` map, lazily
 //!   materialized so untouched keys cost nothing;

@@ -75,7 +75,8 @@ impl Endpoint for ClusterEndpoint {
 
 /// A running cluster: one thread per tree node executing the DAG
 /// algorithm. Obtain per-node [`LockClient`]s from [`Cluster::start`]
-/// and call [`Cluster::shutdown`] when done.
+/// and call [`Cluster::shutdown`] when done; dropping the cluster stops
+/// its threads too.
 ///
 /// See the [crate-level example](crate) for typical usage.
 #[derive(Debug)]
@@ -139,16 +140,28 @@ impl Cluster {
     /// Outstanding [`LockGuard`](crate::LockGuard)s should be dropped
     /// first; a lock request issued after shutdown fails with
     /// [`LockError::ClusterDown`].
-    pub fn shutdown(self) -> ClusterStats {
+    pub fn shutdown(mut self) -> ClusterStats {
+        let per_node: Vec<NodeStats> = self
+            .stop()
+            .into_iter()
+            .map(|j| j.expect("node thread panicked"))
+            .collect();
+        ClusterStats::from_nodes(per_node)
+    }
+
+    /// Sends every node [`Input::Shutdown`] and joins it: each node holds
+    /// a sender to its own inbox, so none would stop on its own.
+    fn stop(&mut self) -> Vec<std::thread::Result<NodeStats>> {
         for tx in &self.txs {
             let _ = tx.send(Input::Shutdown);
         }
-        let per_node: Vec<NodeStats> = self
-            .joins
-            .into_iter()
-            .map(|j| j.join().expect("node thread panicked"))
-            .collect();
-        ClusterStats::from_nodes(per_node)
+        self.joins.drain(..).map(JoinHandle::join).collect()
+    }
+}
+
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -387,6 +400,16 @@ mod tests {
     fn lock_after_shutdown_errors() {
         let (cluster, mut clients) = Cluster::start(&Tree::line(2), NodeId(0));
         cluster.shutdown();
+        assert_eq!(
+            clients[1].lock(LockId(0)).wait().unwrap_err(),
+            LockError::ClusterDown
+        );
+    }
+
+    #[test]
+    fn dropping_the_cluster_stops_its_threads() {
+        let (cluster, mut clients) = Cluster::start(&Tree::line(2), NodeId(0));
+        drop(cluster);
         assert_eq!(
             clients[1].lock(LockId(0)).wait().unwrap_err(),
             LockError::ClusterDown

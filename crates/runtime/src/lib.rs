@@ -8,8 +8,9 @@
 //! * [`Cluster`] — one OS thread per tree node, crossbeam channels
 //!   (per-sender FIFO, the paper's only network assumption);
 //! * [`tcp::TcpCluster`] — the same node loop over loopback sockets;
-//! * [`LockSpaceCluster`] — the sharded multi-key lock service, with
-//!   per-shard worker threads and the simulator's coalescing transport.
+//! * [`LockSpaceCluster`] — the sharded multi-key lock service: one
+//!   thread per node shard (one per node by default), each running the
+//!   keyed node loop and the simulator's coalescing transport inline.
 //!
 //! Acquisition is a builder — [`LockClient::lock`] then one of
 //! [`wait`](LockRequest::wait), [`try_now`](LockRequest::try_now),

@@ -1,33 +1,40 @@
 //! The multi-lock service over real threads: a [`LockSpaceCluster`]
 //! serves the same keyed-lock API the simulated `dmx-lockspace`
-//! subsystem exposes — with per-shard worker parallelism, the same
+//! subsystem exposes — with per-shard thread parallelism, the same
 //! coalescing transport the simulator runs, and the same unified
 //! [`LockClient`] every other backend hands out (try/timeout/deadline
 //! and deadlock-free [`lock_many`](LockClient::lock_many) included).
 //!
-//! Each node is a small thread group:
+//! Each node is one **shard thread** per
+//! [`LockSpaceClusterConfig::workers`] (one by default). Shard `w`
+//! serves the keys with `k % workers == w` and owns everything they
+//! need:
 //!
-//! * **per-shard workers** (one or more, [`LockSpaceClusterConfig::workers`])
-//!   each run a [`KeyedNode`] core for the keys hashed to them — the
-//!   same keyed core every other driver in the workspace runs (the
-//!   simulated lock space, the session executor, the parallel engine's
-//!   shards, and the single-key node loop behind [`Cluster`] and
-//!   [`TcpCluster`]) — and ship each call's sends back as an outbox;
-//! * a **router** thread that unwraps incoming [`Envelope`]s, fans the
-//!   keyed messages out to the owning workers, merges the workers'
-//!   outboxes into one shared [`Transport`] (`dmx-lockspace`'s
-//!   coalescing layer — the identical grouping code the simulated
-//!   `LockSpace` flushes through), and flushes one envelope per
-//!   destination when the [`FlushPolicy`]'s cap is hit or the inbox
-//!   goes idle. The router also runs the shared
-//!   [`PendingSet`](crate::service) pending/abandon machine — across
-//!   its whole key space, where the single-lock node loop runs it for
-//!   one key — so timeouts, abandonment (release-on-grant; the paper
-//!   has no cancel message), and request adoption behave identically
-//!   on every backend.
+//! * a [`KeyedNode`] core — the same keyed core every other driver in
+//!   the workspace runs (the simulated lock space, the session executor,
+//!   the parallel engine's shards, and the single-key node loop behind
+//!   [`Cluster`] and [`TcpCluster`]);
+//! * a [`Transport`] and its [`BatchPool`] — `dmx-lockspace`'s
+//!   coalescing layer, the identical grouping code the simulated
+//!   `LockSpace` flushes through;
+//! * the shared [`PendingSet`](crate::service) pending/abandon machine
+//!   and the keys its local user holds, so timeouts, abandonment
+//!   (release-on-grant; the paper has no cancel message), and request
+//!   adoption behave identically on every backend;
+//! * its part of an in-progress Chandy–Lamport cut (see
+//!   [`crate::snapshot`]).
 //!
-//! The wire therefore carries [`Envelope::One`]/[`Envelope::Batch`]
-//! exactly like the simulator's network: a node forwarding many keys'
+//! The thread applies each input — a client call or a peer's envelope —
+//! inline, stages the sends it produced, and flushes one envelope per
+//! destination when the [`FlushPolicy`]'s cap is hit or the inbox goes
+//! idle. Shard `w` only ever talks to shard `w` of its peers (its keys
+//! live nowhere else), so one protocol message costs one channel hop,
+//! as in the paper, and a client call costs one round trip. Envelopes
+//! therefore group the traffic of one shard, not across a node's
+//! shards.
+//!
+//! The wire carries [`Envelope::One`]/[`Envelope::Batch`]
+//! exactly like the simulator's network: a shard forwarding many keys'
 //! traffic to the same peer pays one channel send, not one per key.
 //! Locking key `k` from node `i` still runs exactly the per-key
 //! algorithm the simulator measures: `REQUEST`s hop toward `k`'s sink,
@@ -35,9 +42,9 @@
 //!
 //! Every driver is an adapter over the one core: the core owns the
 //! per-key protocol state and its transitions, the adapter owns the
-//! I/O (here: channels and the router's transport), the clock (none —
+//! I/O (here: channels and the shard's transport), the clock (none —
 //! the threaded runtime is tickless), and the user-side policy (here:
-//! the router's pending/abandon set).
+//! the shard's pending/abandon set).
 //!
 //! [`Cluster`]: crate::Cluster
 //! [`TcpCluster`]: crate::tcp::TcpCluster
@@ -65,7 +72,6 @@
 //! # Ok::<(), dmx_runtime::LockError>(())
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -104,18 +110,18 @@ pub struct LockSpaceClusterConfig {
     pub keys: u32,
     /// Initial token placement per key.
     pub placement: Placement,
-    /// Worker threads per node; key `k` is served by worker
-    /// `k % workers`, so each worker owns a shard of the node's lock
-    /// table.
+    /// Shard threads per node; key `k` is served by shard `k % workers`,
+    /// a full node loop for its keys that talks only to the same shard
+    /// of its peers. With one (the default), each node is one thread.
     pub workers: usize,
-    /// How the per-node transport coalesces outgoing traffic. The
-    /// threaded runtime has no ticks, so the policy maps to merged
-    /// worker-outbox *bursts*: [`FlushPolicy::EveryTick`] flushes after
-    /// every burst, [`FlushPolicy::Window`]`(k)` merges up to `k`
-    /// bursts, and [`FlushPolicy::Adaptive`] flushes on its
+    /// How each shard's transport coalesces outgoing traffic. The
+    /// threaded runtime has no ticks, so the policy maps to processed
+    /// inputs (*bursts*): [`FlushPolicy::EveryTick`] flushes after
+    /// every input, [`FlushPolicy::Window`]`(k)` merges up to `k`
+    /// inputs' sends, and [`FlushPolicy::Adaptive`] flushes on its
     /// staged-per-destination target — and every policy flushes the
-    /// moment the node's inbox goes idle, so coalescing never stalls a
-    /// waiting lock.
+    /// moment the shard's inbox goes idle, so coalescing never stalls a
+    /// waiting lock. Envelopes group one shard's traffic only.
     pub flush: FlushPolicy,
 }
 
@@ -130,7 +136,7 @@ impl Default for LockSpaceClusterConfig {
     }
 }
 
-/// Inputs a lock-space node processes.
+/// Inputs a shard thread processes.
 enum Input {
     /// Local user wants `key`'s critical section; reply when granted.
     Acquire(LockId, Sender<Reply>),
@@ -143,17 +149,18 @@ enum Input {
     /// The user gave up waiting on `key`; release its privilege the
     /// moment it arrives (unless a new acquisition adopts the request).
     Abandon(LockId),
-    /// An envelope of keyed protocol messages from a peer.
+    /// An envelope of keyed protocol messages from the same shard of a
+    /// peer.
     Net {
         /// Wire sender.
         from: NodeId,
         /// Payload: one or many keyed messages.
         envelope: Envelope,
     },
-    /// Capture a consistent cut: reply with this node's slice once the
+    /// Capture a consistent cut: reply with this shard's slice once the
     /// Chandy–Lamport round completes (all peers' markers received).
     Snapshot {
-        /// Where the node's [`NodeCut`] goes.
+        /// Where the shard's [`NodeCut`] slice goes.
         reply: Sender<NodeCut>,
     },
     /// A Chandy–Lamport marker from peer `from`: the cut boundary on
@@ -166,89 +173,20 @@ enum Input {
     Shutdown,
 }
 
-/// Everything a node's router thread receives: external inputs plus its
-/// own workers' outboxes coming back for the merge.
-enum NodeMsg {
-    External(Input),
-    Worker(WorkerOut),
-    /// One worker's table slice for an in-progress cut. Deliberately
-    /// not a [`WorkerOut`]: cuts do not count against the router's
-    /// outstanding-job bookkeeping.
-    WorkerCut(Vec<KeyCut>),
-}
-
-/// One job dispatched from a router to the worker owning the key.
-enum WorkerJob {
-    /// Local user wants `key`.
-    Acquire(LockId),
-    /// Local user wants `key` iff its token is locally available.
-    TryAcquire(LockId),
-    /// Local user releases `key`.
-    Release(LockId),
-    /// A keyed protocol message from a peer.
-    Net(KeyedDagMessage),
-    /// Report the table slice as a [`NodeMsg::WorkerCut`]. Queue
-    /// position is the worker's cut point: every job ahead of it is
-    /// pre-cut, everything behind post-cut.
-    Snapshot,
-    /// Stop and report stats.
-    Shutdown,
-}
-
-/// One worker dispatch's results: the outbox the router merges into the
-/// node transport, plus a grant signal when the dispatch entered a
-/// critical section (or a refusal when a try found the token remote).
-struct WorkerOut {
-    sends: Vec<(NodeId, KeyedDagMessage)>,
-    entered: Option<LockId>,
-    refused: Option<LockId>,
-}
-
-/// One router's in-progress Chandy–Lamport cut.
-///
-/// Two phases. **Drain** (`!markers_sent`): the workers have been sent
-/// [`WorkerJob::Snapshot`] and the router parks every external input in
-/// `deferred` while the pre-cut jobs' outboxes finish merging — worker
-/// out-channels are FIFO, so once all [`NodeMsg::WorkerCut`]s are in,
-/// the router has merged *exactly* the sends of the jobs the tables
-/// reflect, and the staged transport can be captured without double- or
-/// under-counting a token. **Record** (`markers_sent`): markers are
-/// out, deferred inputs replay, and traffic from each peer is recorded
-/// as that channel's in-flight state until its marker arrives.
+/// One shard's in-progress Chandy–Lamport cut. The shard's state was
+/// recorded and its markers sent the moment the cut opened; traffic
+/// from each peer is then recorded as that channel's in-flight state
+/// until the peer's marker arrives.
 struct CutState {
-    /// Where this node's slice goes; `None` until the local snapshot
-    /// request arrives (a peer's marker may trigger the cut first).
+    /// Where the slice goes; `None` until the local snapshot request
+    /// arrives (a peer's marker may open the cut first).
     reply: Option<Sender<NodeCut>>,
-    /// Worker table slices still owed.
-    workers_left: usize,
     /// Per-peer: marker received, channel recording closed.
     marker_seen: Vec<bool>,
     /// Peers whose marker is still outstanding.
     markers_left: usize,
-    /// `false` during the drain phase, `true` once this node's own
-    /// markers went out.
-    markers_sent: bool,
-    /// Materialized instances reported by the workers.
-    keys: Vec<KeyCut>,
-    /// Local user state at the cut point (captured at drain end).
-    held: Vec<LockId>,
-    /// Outstanding local acquisitions at the cut point.
-    pending: Vec<(LockId, bool)>,
-    /// Transport staging at the cut point.
-    staged: Vec<(NodeId, KeyedDagMessage)>,
-    /// Per-sender channel recordings.
-    recording: Vec<Vec<KeyedDagMessage>>,
-    /// External inputs parked during the drain phase, replayed in
-    /// arrival order the moment the markers go out.
-    deferred: Vec<Input>,
-}
-
-/// Counters one worker accumulates over its lifetime.
-#[derive(Debug, Clone, Copy, Default)]
-struct WorkerStats {
-    requests_sent: u64,
-    privileges_sent: u64,
-    keys_materialized: usize,
+    /// The state at the cut point plus the channel recordings so far.
+    slice: NodeCut,
 }
 
 /// Counters one lock-space node accumulates over its lifetime.
@@ -268,8 +206,20 @@ pub struct LockSpaceNodeStats {
     /// immediately.
     pub abandoned: u64,
     /// Lock instances this node materialized (keys it saw traffic for),
-    /// summed over its workers.
+    /// summed over its shards.
     pub keys_materialized: usize,
+}
+
+impl LockSpaceNodeStats {
+    /// Adds one shard's counters into its node's.
+    fn add(&mut self, shard: LockSpaceNodeStats) {
+        self.requests_sent += shard.requests_sent;
+        self.privileges_sent += shard.privileges_sent;
+        self.envelopes_sent += shard.envelopes_sent;
+        self.entries += shard.entries;
+        self.abandoned += shard.abandoned;
+        self.keys_materialized += shard.keys_materialized;
+    }
 }
 
 /// Whole-cluster counters returned by [`LockSpaceCluster::shutdown`].
@@ -311,54 +261,61 @@ impl LockSpaceStats {
     }
 }
 
-/// A running multi-lock cluster: a router plus per-shard workers per
-/// tree node, each worker hosting its shard's per-key DAG instances.
-/// Obtain per-node [`LockClient`]s from [`LockSpaceCluster::start`]
-/// (or [`start_with`](LockSpaceCluster::start_with) for worker/flush
+/// A running multi-lock cluster: per tree node, one shard thread per
+/// [`workers`](LockSpaceClusterConfig::workers), each hosting its
+/// shard's per-key DAG instances. Obtain per-node [`LockClient`]s from
+/// [`LockSpaceCluster::start`] (or
+/// [`start_with`](LockSpaceCluster::start_with) for shard/flush
 /// control) and call [`shutdown`](LockSpaceCluster::shutdown) when
-/// done.
+/// done; dropping the cluster stops its threads too.
 #[derive(Debug)]
 pub struct LockSpaceCluster {
     keys: u32,
     placement: Placement,
-    txs: Vec<Sender<NodeMsg>>,
+    workers: usize,
+    /// Shard inboxes, node-major: shard `w` of node `i` sits at
+    /// `i * workers + w`.
+    txs: Vec<Sender<Input>>,
     joins: Vec<JoinHandle<LockSpaceNodeStats>>,
 }
 
 /// The lock space's [`Endpoint`]: client operations map onto keyed
-/// [`Input`]s for the node's router.
+/// [`Input`]s for the shard owning the key.
 struct LockSpaceEndpoint {
-    tx: Sender<NodeMsg>,
+    /// This node's shard inboxes, indexed by shard.
+    shards: Vec<Sender<Input>>,
+}
+
+impl LockSpaceEndpoint {
+    fn send(&self, key: LockId, input: Input) -> Result<(), LockError> {
+        self.shards[key.index() % self.shards.len()]
+            .send(input)
+            .map_err(|_| LockError::ClusterDown)
+    }
 }
 
 impl Endpoint for LockSpaceEndpoint {
     fn acquire(&self, key: LockId, ack: Sender<Reply>) -> Result<(), LockError> {
-        self.tx
-            .send(NodeMsg::External(Input::Acquire(key, ack)))
-            .map_err(|_| LockError::ClusterDown)
+        self.send(key, Input::Acquire(key, ack))
     }
 
     fn try_acquire(&self, key: LockId, ack: Sender<Reply>) -> Result<(), LockError> {
-        self.tx
-            .send(NodeMsg::External(Input::TryAcquire(key, ack)))
-            .map_err(|_| LockError::ClusterDown)
+        self.send(key, Input::TryAcquire(key, ack))
     }
 
     fn abandon(&self, key: LockId) -> Result<(), LockError> {
-        self.tx
-            .send(NodeMsg::External(Input::Abandon(key)))
-            .map_err(|_| LockError::ClusterDown)
+        self.send(key, Input::Abandon(key))
     }
 
     fn release(&self, key: LockId) {
         // If the cluster is already gone there is nobody to notify.
-        let _ = self.tx.send(NodeMsg::External(Input::Release(key)));
+        let _ = self.send(key, Input::Release(key));
     }
 }
 
 impl LockSpaceCluster {
-    /// Spawns one node group per node of `tree` serving `keys` locks
-    /// placed per `placement` (one worker per node, every-burst
+    /// Spawns one thread per node of `tree` serving `keys` locks
+    /// placed per `placement` (one shard per node, every-input
     /// flushing), and returns the cluster plus one [`LockClient`]
     /// per node (index = node id).
     ///
@@ -381,8 +338,8 @@ impl LockSpaceCluster {
         )
     }
 
-    /// [`LockSpaceCluster::start`] with explicit worker parallelism and
-    /// flush policy.
+    /// [`LockSpaceCluster::start`] with explicit shard parallelism and
+    /// flush policy: `n × workers` threads in all.
     ///
     /// # Panics
     ///
@@ -397,45 +354,48 @@ impl LockSpaceCluster {
         assert!(config.workers > 0, "lock space needs at least one worker");
         config.flush.validate();
         let n = tree.len();
+        let workers = config.workers;
         config.placement.validate(n);
-        // Each worker's seeds lazily cache the orientations of the hubs
+        // Each shard's seeds lazily cache the orientations of the hubs
         // it actually touches (computing one up front per node would
         // cost O(n²) before the first lock is served); only the tree
         // itself is shared.
         let tree = Arc::new(tree.clone());
 
-        let channels: Vec<(Sender<NodeMsg>, Receiver<NodeMsg>)> =
-            (0..n).map(|_| unbounded()).collect();
-        let txs: Vec<Sender<NodeMsg>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-
-        let mut joins = Vec::with_capacity(n);
-        for (i, (self_tx, rx)) in channels.into_iter().enumerate() {
-            let me = NodeId::from_index(i);
-            let peers = txs.clone();
-            // Per-shard workers: worker w owns keys with k % workers == w.
-            let mut worker_txs = Vec::with_capacity(config.workers);
-            let mut worker_joins = Vec::with_capacity(config.workers);
-            for _ in 0..config.workers {
-                let (jtx, jrx) = unbounded::<WorkerJob>();
-                let out = self_tx.clone();
-                let seeds = Seeds::new(Arc::clone(&tree), config.placement.clone());
-                worker_txs.push(jtx);
-                worker_joins.push(std::thread::spawn(move || worker_main(me, seeds, jrx, out)));
-            }
-            drop(self_tx);
-            joins.push(std::thread::spawn(move || {
-                router_main(me, n, config.flush, rx, peers, worker_txs, worker_joins)
-            }));
-        }
+        let (txs, rxs): (Vec<Sender<Input>>, Vec<Receiver<Input>>) =
+            (0..n * workers).map(|_| unbounded()).unzip();
+        let joins = rxs
+            .into_iter()
+            .enumerate()
+            .map(|(t, rx)| {
+                let (me, w) = (NodeId::from_index(t / workers), t % workers);
+                let shard = Shard {
+                    core: KeyedNode::new(me, 16),
+                    seeds: Seeds::new(Arc::clone(&tree), config.placement.clone()),
+                    effects: Vec::new(),
+                    transport: Transport::new(n, config.flush),
+                    pool: BatchPool::new(),
+                    bursts: 0,
+                    pending: PendingSet::new(),
+                    held: Vec::new(),
+                    peers: (0..n).map(|p| txs[p * workers + w].clone()).collect(),
+                    cut: None,
+                    stats: LockSpaceNodeStats::default(),
+                };
+                std::thread::spawn(move || shard.run(rx))
+            })
+            .collect();
 
         let clients = txs
-            .iter()
+            .chunks(workers)
             .enumerate()
-            .map(|(i, tx)| {
+            .map(|(i, shards)| {
                 LockClient::new(
                     NodeId::from_index(i),
                     config.keys,
-                    Box::new(LockSpaceEndpoint { tx: tx.clone() }),
+                    Box::new(LockSpaceEndpoint {
+                        shards: shards.to_vec(),
+                    }),
                 )
             })
             .collect();
@@ -443,6 +403,7 @@ impl LockSpaceCluster {
             LockSpaceCluster {
                 keys: config.keys,
                 placement: config.placement,
+                workers,
                 txs,
                 joins,
             },
@@ -452,7 +413,7 @@ impl LockSpaceCluster {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.txs.len()
+        self.txs.len() / self.workers
     }
 
     /// `true` for a cluster with no nodes — consistent with
@@ -471,46 +432,66 @@ impl LockSpaceCluster {
     /// channels (see [`crate::snapshot`] for the protocol and
     /// [`LockSpaceSnapshot::verify`] for the oracle it must pass).
     ///
-    /// Every node is asked at once, so whichever reaches a node first —
-    /// this request or a peer's marker — triggers its cut, and the
-    /// slices still compose into one consistent global state. Lock
-    /// traffic keeps flowing the whole time; only each node's own
-    /// worker drain serializes briefly with its cut point.
+    /// Every shard thread is asked at once, so whichever reaches it
+    /// first — this request or a peer's marker — triggers its cut, and
+    /// the slices still compose into one consistent global state; a
+    /// node's shard slices merge into its one [`NodeCut`]. Lock traffic
+    /// keeps flowing the whole time.
     ///
     /// # Panics
     ///
-    /// Panics if the cluster is shut down while the cut is in
-    /// progress (take snapshots before [`shutdown`], not concurrently
-    /// with it).
-    ///
-    /// [`shutdown`]: LockSpaceCluster::shutdown
+    /// Panics if a shard thread has died (panicked) before or during
+    /// the cut.
     pub fn snapshot(&self) -> LockSpaceSnapshot {
         let (reply, slices) = unbounded();
         for tx in &self.txs {
-            let sent = tx.send(NodeMsg::External(Input::Snapshot {
+            let sent = tx.send(Input::Snapshot {
                 reply: reply.clone(),
-            }));
+            });
             assert!(sent.is_ok(), "snapshot of a stopped cluster");
         }
         drop(reply);
-        let mut cuts: Vec<NodeCut> = (0..self.txs.len())
-            .map(|_| slices.recv().expect("cut interrupted by shutdown"))
+        let mut cuts: Vec<Option<NodeCut>> = vec![None; self.len()];
+        for _ in 0..self.txs.len() {
+            let slice = slices.recv().expect("cut interrupted by shutdown");
+            match &mut cuts[slice.node.index()] {
+                Some(cut) => cut.merge(slice),
+                empty => *empty = Some(slice),
+            }
+        }
+        let cuts = cuts
+            .into_iter()
+            .flatten()
+            .map(|mut cut| {
+                cut.keys.sort_by_key(|k| k.key);
+                cut
+            })
             .collect();
-        cuts.sort_by_key(|c| c.node.index());
         LockSpaceSnapshot::new(self.keys, self.placement.clone(), cuts)
     }
 
-    /// Stops every node and returns the aggregated counters.
-    pub fn shutdown(self) -> LockSpaceStats {
-        for tx in &self.txs {
-            let _ = tx.send(NodeMsg::External(Input::Shutdown));
+    /// Stops every shard thread and returns the aggregated counters.
+    pub fn shutdown(mut self) -> LockSpaceStats {
+        let mut per_node = vec![LockSpaceNodeStats::default(); self.len()];
+        for (t, shard) in self.stop().into_iter().enumerate() {
+            per_node[t / self.workers].add(shard.expect("lock-space shard thread panicked"));
         }
-        let per_node: Vec<LockSpaceNodeStats> = self
-            .joins
-            .into_iter()
-            .map(|j| j.join().expect("lock-space router thread panicked"))
-            .collect();
         LockSpaceStats::from_nodes(per_node)
+    }
+
+    /// Sends every shard [`Input::Shutdown`] and joins it: each shard
+    /// holds a sender to its own inbox, so none would stop on its own.
+    fn stop(&mut self) -> Vec<std::thread::Result<LockSpaceNodeStats>> {
+        for tx in &self.txs {
+            let _ = tx.send(Input::Shutdown);
+        }
+        self.joins.drain(..).map(JoinHandle::join).collect()
+    }
+}
+
+impl Drop for LockSpaceCluster {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -534,408 +515,262 @@ impl LockService for LockSpaceCluster {
     }
 }
 
-/// One per-shard worker: drives a [`KeyedNode`] core for every key
-/// hashed to it, returning each dispatch's outbox to the router for the
-/// transport merge.
-fn worker_main(
-    me: NodeId,
-    mut seeds: Seeds,
-    rx: Receiver<WorkerJob>,
-    out: Sender<NodeMsg>,
-) -> WorkerStats {
-    let mut stats = WorkerStats::default();
-    let mut core: KeyedNode = KeyedNode::new(me, 16);
-    // Reused across dispatches; the per-dispatch outbox is harvested
-    // from it before being shipped to the router.
-    let mut effects: Vec<Effect> = Vec::new();
-
-    while let Ok(job) = rx.recv() {
-        let mut refused = None;
-        match job {
-            WorkerJob::Acquire(key) => {
-                core.request(key, &mut seeds, &mut effects);
-            }
-            WorkerJob::TryAcquire(key) => {
-                // Enters only if the token is parked here, idle: local
-                // and free.
-                if !core.try_request(key, &mut seeds, &mut effects) {
-                    refused = Some(key);
-                }
-            }
-            WorkerJob::Release(key) => {
-                core.release(key, &mut effects);
-            }
-            WorkerJob::Net(msg) => {
-                core.deliver(msg, &mut seeds, &mut effects);
-            }
-            WorkerJob::Snapshot => {
-                // The cut point for this worker's shard: every job the
-                // router dispatched before the cut has been applied to
-                // the table (per-channel FIFO), nothing after it has.
-                let cut = core
-                    .iter()
-                    .map(|(key, inst, _)| KeyCut {
-                        key,
-                        has_token: inst.has_token(),
-                        executing: inst.is_executing(),
-                        requesting: inst.is_requesting(),
-                    })
-                    .collect();
-                let _ = out.send(NodeMsg::WorkerCut(cut));
-                continue;
-            }
-            WorkerJob::Shutdown => break,
-        }
-        let mut sends = Vec::with_capacity(effects.len());
-        let mut entered = None;
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => {
-                    match msg.msg {
-                        DagMessage::Request { .. } => stats.requests_sent += 1,
-                        DagMessage::Privilege => stats.privileges_sent += 1,
-                        DagMessage::Initialize => {}
-                    }
-                    sends.push((to, msg));
-                }
-                Effect::Enter(key) => entered = Some(key),
-            }
-        }
-        // The reply can only fail during shutdown, when the router no
-        // longer merges.
-        let _ = out.send(NodeMsg::Worker(WorkerOut {
-            sends,
-            entered,
-            refused,
-        }));
-    }
-    stats.keys_materialized = core.len();
-    stats
+/// One shard thread: a full node loop for the keys hashed to it.
+struct Shard {
+    core: KeyedNode,
+    seeds: Seeds,
+    /// The core's output, reused across inputs.
+    effects: Vec<Effect>,
+    transport: Transport,
+    pool: BatchPool,
+    /// Inputs processed since the last flush (the tickless analogue of
+    /// the simulator's coalescing window).
+    bursts: u64,
+    /// The local user's outstanding acquisitions (waiting or abandoned)
+    /// for this shard's keys — the same machine the single-lock node
+    /// loop runs for its one key.
+    pending: PendingSet,
+    /// Keys the local user currently holds (granted, not yet released);
+    /// `lock_many` holds several at once.
+    held: Vec<LockId>,
+    /// The same shard of every node, indexed by node.
+    peers: Vec<Sender<Input>>,
+    /// The in-progress Chandy–Lamport cut, if any.
+    cut: Option<CutState>,
+    stats: LockSpaceNodeStats,
 }
 
-/// One node's router: fans keyed traffic out to the per-shard workers,
-/// merges their outboxes into the shared [`Transport`], flushes pooled
-/// envelopes to the peers when the flush policy's cap is hit or the
-/// inbox goes idle, and resolves local grants through the shared
-/// [`PendingSet`] pending/abandon machine.
-fn router_main(
-    me: NodeId,
-    n: usize,
-    flush: FlushPolicy,
-    rx: Receiver<NodeMsg>,
-    peers: Vec<Sender<NodeMsg>>,
-    worker_txs: Vec<Sender<WorkerJob>>,
-    worker_joins: Vec<JoinHandle<WorkerStats>>,
-) -> LockSpaceNodeStats {
-    let mut stats = LockSpaceNodeStats::default();
-    let mut transport = Transport::new(n, flush);
-    let mut pool = BatchPool::new();
-    // The local user's outstanding acquisitions (waiting or abandoned),
-    // across the whole key space — the same machine the single-lock
-    // node loop runs for its one key.
-    let mut pending = PendingSet::new();
-    // The one outstanding try-acquisition, if any (the client is
-    // `&mut`-serialized, so there is never more than one).
-    let mut trying: Option<(LockId, Sender<Reply>)> = None;
-    // Keys the local user currently holds (granted, not yet released);
-    // lock_many holds several at once.
-    let mut held: Vec<LockId> = Vec::new();
-    // Jobs dispatched to workers whose outboxes have not come back yet:
-    // while nonzero, more coalescing material is guaranteed to arrive,
-    // so an empty inbox is not yet "idle".
-    let mut outstanding = 0usize;
-    // Worker outboxes merged since the last flush (the tickless
-    // analogue of the simulator's coalescing window).
-    let mut bursts = 0u64;
-    // The in-progress Chandy–Lamport cut, if any.
-    let mut cut: Option<CutState> = None;
-    // Inputs deferred during a cut's drain phase, consumed ahead of the
-    // inbox so channel order is preserved.
-    let mut replay: VecDeque<Input> = VecDeque::new();
-
-    let workers = worker_txs.len();
-    let worker_for = |key: LockId| key.index() % workers;
-
-    macro_rules! flush_transport {
-        () => {
-            transport.flush(&mut pool, |to, envelope| {
-                stats.envelopes_sent += 1;
-                // A send can only fail during shutdown, when the
-                // counters no longer matter.
-                let _ =
-                    peers[to.index()].send(NodeMsg::External(Input::Net { from: me, envelope }));
-            });
-            bursts = 0;
-        };
-    }
-
-    macro_rules! dispatch {
-        ($key:expr, $job:expr) => {
-            let _ = worker_txs[worker_for($key)].send($job);
-            outstanding += 1;
-        };
-    }
-
-    // Opens a cut: ask every worker for its table slice at its current
-    // queue position; the drain phase runs until all slices are back.
-    macro_rules! start_cut {
-        () => {{
-            for tx in &worker_txs {
-                let _ = tx.send(WorkerJob::Snapshot);
-            }
-            CutState {
-                reply: None,
-                workers_left: workers,
-                marker_seen: vec![false; n],
-                markers_left: n - 1,
-                markers_sent: false,
-                keys: Vec::new(),
-                held: Vec::new(),
-                pending: Vec::new(),
-                staged: Vec::new(),
-                recording: vec![Vec::new(); n],
-                deferred: Vec::new(),
-            }
-        }};
-    }
-
-    // Ships the node's slice once the cut is complete: markers out,
-    // every peer's marker in, and the local reply channel attached.
-    macro_rules! finish_cut {
-        () => {
-            if cut
-                .as_ref()
-                .is_some_and(|c| c.markers_sent && c.markers_left == 0 && c.reply.is_some())
-            {
-                let mut c = cut.take().expect("checked above");
-                c.keys.sort_by_key(|k| k.key);
-                let _ = c.reply.expect("checked above").send(NodeCut {
-                    node: me,
-                    keys: c.keys,
-                    held: c.held,
-                    pending: c.pending,
-                    staged: c.staged,
-                    in_flight: c.recording,
-                });
-            }
-        };
-    }
-
-    loop {
-        // Deferred inputs replay ahead of the inbox; otherwise block
-        // only when the transport is empty or workers still owe
-        // outboxes, and flush the moment the inbox goes idle.
-        let msg = if let Some(input) = replay.pop_front() {
-            NodeMsg::External(input)
-        } else if transport.staged() > 0 && outstanding == 0 {
-            match rx.try_recv() {
-                Ok(msg) => msg,
-                Err(TryRecvError::Empty) => {
-                    flush_transport!();
-                    continue;
+impl Shard {
+    fn run(mut self, rx: Receiver<Input>) -> LockSpaceNodeStats {
+        loop {
+            // Block only while nothing is staged; otherwise flush the
+            // moment the inbox goes idle.
+            let input = if self.transport.staged() > 0 {
+                match rx.try_recv() {
+                    Ok(input) => input,
+                    Err(TryRecvError::Empty) => {
+                        self.flush();
+                        continue;
+                    }
+                    Err(TryRecvError::Disconnected) => break,
                 }
-                Err(TryRecvError::Disconnected) => break,
+            } else {
+                match rx.recv() {
+                    Ok(input) => input,
+                    Err(_) => break,
+                }
+            };
+            if !self.apply(input) {
+                break;
             }
-        } else {
-            match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
+            // Every input counts toward the cap — including send-less
+            // ones — so a busy stretch of absorbing inputs cannot hold
+            // an already-staged envelope past the policy's bound.
+            self.bursts += 1;
+            if self.transport.staged() > 0 && self.transport.burst_cap_reached(self.bursts) {
+                self.flush();
             }
-        };
-        // Drain phase: park external inputs until the workers' cut
-        // slices are in — dispatching (or even resolving) them now
-        // could stage a post-cut send into the about-to-be-captured
-        // transport and double-count a token.
-        let msg = match (&mut cut, msg) {
-            (Some(c), NodeMsg::External(input)) if !c.markers_sent => {
-                c.deferred.push(input);
-                continue;
-            }
-            (_, msg) => msg,
-        };
-        match msg {
-            NodeMsg::External(Input::Acquire(key, ack)) => match pending.acquire(key, ack) {
+        }
+        self.stats.keys_materialized = self.core.len();
+        self.stats
+    }
+
+    /// Applies one input inline; `false` on [`Input::Shutdown`].
+    fn apply(&mut self, input: Input) -> bool {
+        match input {
+            Input::Acquire(key, ack) => match self.pending.acquire(key, ack) {
                 // An abandoned request for this key is still in
                 // flight; the new acquisition adopts it silently.
                 AcquireAction::Adopted => {}
                 AcquireAction::Issue => {
-                    dispatch!(key, WorkerJob::Acquire(key));
+                    self.core.request(key, &mut self.seeds, &mut self.effects);
+                    self.settle();
                 }
             },
-            NodeMsg::External(Input::TryAcquire(key, ack)) => {
-                debug_assert!(trying.is_none(), "second outstanding try");
-                if pending.is_engaged(key) {
-                    // An abandoned request is in flight: the token is
-                    // not here (a requesting node never holds it).
-                    let _ = ack.send(Reply::Unavailable);
+            Input::TryAcquire(key, ack) => {
+                // Enters only if the token is parked here, idle. An
+                // abandoned request in flight means it is not (a
+                // requesting node never holds it).
+                let granted = !self.pending.is_engaged(key)
+                    && self
+                        .core
+                        .try_request(key, &mut self.seeds, &mut self.effects);
+                // A try never sends: its only effect is the entry.
+                self.effects.clear();
+                let reply = if granted {
+                    self.stats.entries += 1;
+                    self.held.push(key);
+                    Reply::Granted
                 } else {
-                    trying = Some((key, ack));
-                    dispatch!(key, WorkerJob::TryAcquire(key));
+                    Reply::Unavailable
+                };
+                let _ = ack.send(reply);
+            }
+            Input::Release(key) => self.release(key),
+            Input::Abandon(key) => match self.pending.abandon(key, self.held.contains(&key)) {
+                AbandonAction::Marked | AbandonAction::Stale => {}
+                // Race: the grant was already delivered but the user
+                // timed out anyway — release immediately.
+                AbandonAction::ReleaseNow => {
+                    self.stats.abandoned += 1;
+                    self.release(key);
                 }
-            }
-            NodeMsg::External(Input::Release(key)) => {
-                held.retain(|&k| k != key);
-                dispatch!(key, WorkerJob::Release(key));
-            }
-            NodeMsg::External(Input::Abandon(key)) => {
-                match pending.abandon(key, held.contains(&key)) {
-                    AbandonAction::Marked | AbandonAction::Stale => {}
-                    // Race: the grant was already delivered but the
-                    // user timed out anyway — release immediately.
-                    AbandonAction::ReleaseNow => {
-                        stats.abandoned += 1;
-                        held.retain(|&k| k != key);
-                        dispatch!(key, WorkerJob::Release(key));
-                    }
-                }
-            }
-            NodeMsg::External(Input::Net { from, envelope }) => {
-                if let Some(c) = cut.as_mut() {
-                    // Post-cut, pre-marker traffic on this channel is
-                    // exactly the in-flight state the cut must record.
-                    if !c.marker_seen[from.index()] {
-                        match &envelope {
-                            Envelope::One(msg) => c.recording[from.index()].push(*msg),
-                            Envelope::Batch(batch) => {
-                                c.recording[from.index()].extend(batch.iter().copied());
-                            }
-                        }
+            },
+            Input::Net { from, envelope } => {
+                // Post-cut, pre-marker traffic on this channel is
+                // exactly the in-flight state the cut must record.
+                if let Some(cut) = self.cut.as_mut().filter(|c| !c.marker_seen[from.index()]) {
+                    let channel = &mut cut.slice.in_flight[from.index()];
+                    match &envelope {
+                        Envelope::One(msg) => channel.push(*msg),
+                        Envelope::Batch(batch) => channel.extend(batch.iter().copied()),
                     }
                 }
                 match envelope {
-                    Envelope::One(msg) => {
-                        dispatch!(msg.lock, WorkerJob::Net(msg));
-                    }
+                    Envelope::One(msg) => self.deliver(msg),
                     Envelope::Batch(mut batch) => {
                         for msg in batch.drain(..) {
-                            dispatch!(msg.lock, WorkerJob::Net(msg));
+                            self.deliver(msg);
                         }
-                        // The drained payload joins this node's own pool:
-                        // cross-node buffer recycling.
-                        pool.put(batch);
+                        // The drained payload joins this shard's own
+                        // pool: cross-node buffer recycling.
+                        self.pool.put(batch);
                     }
                 }
             }
-            NodeMsg::External(Input::Snapshot { reply }) => {
-                if cut.is_none() {
-                    cut = Some(start_cut!());
-                }
-                cut.as_mut().expect("just opened").reply = Some(reply);
-                finish_cut!();
+            Input::Snapshot { reply } => {
+                let mut cut = self.open_cut();
+                cut.reply = Some(reply);
+                self.settle_cut(cut);
             }
-            NodeMsg::External(Input::Marker { from }) => {
-                if cut.is_none() {
-                    // A peer's marker reached us before the local
-                    // snapshot request: its arrival is our cut point,
-                    // and that channel records nothing.
-                    cut = Some(start_cut!());
+            Input::Marker { from } => {
+                // A marker before the local request opens the cut
+                // right here, and that channel records nothing.
+                let mut cut = self.open_cut();
+                if !cut.marker_seen[from.index()] {
+                    cut.marker_seen[from.index()] = true;
+                    cut.markers_left -= 1;
                 }
-                let c = cut.as_mut().expect("just opened");
-                if !c.marker_seen[from.index()] {
-                    c.marker_seen[from.index()] = true;
-                    c.markers_left -= 1;
-                }
-                finish_cut!();
+                self.settle_cut(cut);
             }
-            NodeMsg::External(Input::Shutdown) => break,
-            NodeMsg::Worker(WorkerOut {
-                sends,
-                entered,
-                refused,
-            }) => {
-                outstanding -= 1;
-                for (to, keyed) in sends {
-                    transport.stage(to, keyed);
-                }
-                // Every merged outbox counts toward the cap — including
-                // send-less ones — so a busy stretch of absorbing
-                // dispatches cannot freeze the counter and hold an
-                // already-staged envelope past the policy's bound.
-                bursts += 1;
-                if let Some(key) = refused {
-                    match trying.take() {
-                        Some((wanted, ack)) => {
-                            assert_eq!(wanted, key, "try refusal for the wrong key");
-                            let _ = ack.send(Reply::Unavailable);
-                        }
-                        None => unreachable!("node {me}: try refusal with no try outstanding"),
+            Input::Shutdown => return false,
+        }
+        true
+    }
+
+    fn release(&mut self, key: LockId) {
+        self.held.retain(|&k| k != key);
+        self.core.release(key, &mut self.effects);
+        self.settle();
+    }
+
+    fn deliver(&mut self, msg: KeyedDagMessage) {
+        self.core.deliver(msg, &mut self.seeds, &mut self.effects);
+        self.settle();
+    }
+
+    /// Stages the core's sends and resolves its entries through the
+    /// pending machine.
+    fn settle(&mut self) {
+        // Indexed: an auto-release appends its sends while we walk.
+        let mut i = 0;
+        while let Some(&effect) = self.effects.get(i) {
+            i += 1;
+            match effect {
+                Effect::Send { to, msg } => {
+                    match msg.msg {
+                        DagMessage::Request { .. } => self.stats.requests_sent += 1,
+                        DagMessage::Privilege => self.stats.privileges_sent += 1,
+                        DagMessage::Initialize => {}
                     }
+                    self.transport.stage(to, msg);
                 }
-                if let Some(key) = entered {
-                    if trying.as_ref().is_some_and(|(k, _)| *k == key) {
-                        let (_, ack) = trying.take().expect("checked above");
-                        stats.entries += 1;
-                        held.push(key);
+                Effect::Enter(key) => match self.pending.grant(key) {
+                    GrantAction::Deliver(ack) => {
+                        self.stats.entries += 1;
+                        self.held.push(key);
                         let _ = ack.send(Reply::Granted);
-                    } else {
-                        match pending.grant(key) {
-                            GrantAction::Deliver(ack) => {
-                                stats.entries += 1;
-                                held.push(key);
-                                let _ = ack.send(Reply::Granted);
-                            }
-                            GrantAction::AutoRelease => {
-                                // The waiter abandoned: bounce the
-                                // privilege straight back out — unless a
-                                // cut is draining, in which case the
-                                // bounce is post-cut work and must wait
-                                // with the other deferred inputs.
-                                stats.abandoned += 1;
-                                match cut.as_mut().filter(|c| !c.markers_sent) {
-                                    Some(c) => c.deferred.push(Input::Release(key)),
-                                    None => {
-                                        dispatch!(key, WorkerJob::Release(key));
-                                    }
-                                }
-                            }
-                        }
                     }
-                }
-                if transport.staged() > 0 && transport.burst_cap_reached(bursts) {
-                    flush_transport!();
-                }
-            }
-            NodeMsg::WorkerCut(mut keys) => {
-                let drained = {
-                    let c = cut.as_mut().expect("worker cut without an active cut");
-                    c.keys.append(&mut keys);
-                    c.workers_left -= 1;
-                    c.workers_left == 0
-                };
-                if drained {
-                    // Every pre-cut job's outbox is merged (worker out
-                    // channels are FIFO), so table slices, user state,
-                    // and transport staging now describe one frontier:
-                    // capture it, send the markers, and let the parked
-                    // inputs replay as post-cut traffic.
-                    let c = cut.as_mut().expect("still active");
-                    c.held = held.clone();
-                    pending.for_each_engaged(|key, abandoned| c.pending.push((key, abandoned)));
-                    transport.for_each_staged(|to, msg| c.staged.push((to, *msg)));
-                    for (p, peer) in peers.iter().enumerate() {
-                        if p != me.index() {
-                            let _ = peer.send(NodeMsg::External(Input::Marker { from: me }));
-                        }
+                    // The waiter abandoned: bounce the privilege
+                    // straight back out.
+                    GrantAction::AutoRelease => {
+                        self.stats.abandoned += 1;
+                        self.core.release(key, &mut self.effects);
                     }
-                    c.markers_sent = true;
-                    debug_assert!(replay.is_empty(), "two cuts draining at once");
-                    replay.extend(c.deferred.drain(..));
-                    finish_cut!();
-                }
+                },
             }
+        }
+        self.effects.clear();
+    }
+
+    /// Transmits everything staged, one envelope per destination.
+    fn flush(&mut self) {
+        let (me, peers, stats) = (self.core.id(), &self.peers, &mut self.stats);
+        self.transport.flush(&mut self.pool, |to, envelope| {
+            stats.envelopes_sent += 1;
+            // A send can only fail during shutdown, when the counters
+            // no longer matter.
+            let _ = peers[to.index()].send(Input::Net { from: me, envelope });
+        });
+        self.bursts = 0;
+    }
+
+    /// The in-progress cut, or a new one: record this shard's state —
+    /// tables, user state, and staged sends all describe the same
+    /// moment, since every input is applied inline — then send a
+    /// marker to every peer.
+    fn open_cut(&mut self) -> CutState {
+        if let Some(cut) = self.cut.take() {
+            return cut;
+        }
+        let (me, n) = (self.core.id(), self.peers.len());
+        let mut slice = NodeCut {
+            node: me,
+            keys: self
+                .core
+                .iter()
+                .map(|(key, inst, _)| KeyCut {
+                    key,
+                    has_token: inst.has_token(),
+                    executing: inst.is_executing(),
+                    requesting: inst.is_requesting(),
+                })
+                .collect(),
+            held: self.held.clone(),
+            pending: Vec::new(),
+            staged: Vec::new(),
+            in_flight: vec![Vec::new(); n],
+        };
+        self.pending
+            .for_each_engaged(|key, abandoned| slice.pending.push((key, abandoned)));
+        self.transport
+            .for_each_staged(|to, msg| slice.staged.push((to, *msg)));
+        for (p, peer) in self.peers.iter().enumerate() {
+            if p != me.index() {
+                let _ = peer.send(Input::Marker { from: me });
+            }
+        }
+        CutState {
+            reply: None,
+            marker_seen: vec![false; n],
+            markers_left: n - 1,
+            slice,
         }
     }
 
-    for tx in &worker_txs {
-        let _ = tx.send(WorkerJob::Shutdown);
+    /// Ships the slice once the cut is complete — every peer's marker
+    /// in and the local reply channel attached — or keeps it open.
+    fn settle_cut(&mut self, mut cut: CutState) {
+        match cut.reply.take() {
+            Some(reply) if cut.markers_left == 0 => {
+                let _ = reply.send(cut.slice);
+            }
+            reply => {
+                cut.reply = reply;
+                self.cut = Some(cut);
+            }
+        }
     }
-    for join in worker_joins {
-        let ws = join.join().expect("lock-space worker thread panicked");
-        stats.requests_sent += ws.requests_sent;
-        stats.privileges_sent += ws.privileges_sent;
-        stats.keys_materialized += ws.keys_materialized;
-    }
-    stats
 }
 
 #[cfg(test)]
@@ -1079,6 +914,16 @@ mod tests {
     fn lock_after_shutdown_errors() {
         let (cluster, mut clients) = LockSpaceCluster::start(&Tree::line(2), 2, Placement::Modulo);
         cluster.shutdown();
+        assert_eq!(
+            clients[1].lock(LockId(0)).wait().unwrap_err(),
+            LockError::ClusterDown
+        );
+    }
+
+    #[test]
+    fn dropping_the_cluster_stops_its_threads() {
+        let (cluster, mut clients) = LockSpaceCluster::start(&Tree::line(2), 2, Placement::Modulo);
+        drop(cluster);
         assert_eq!(
             clients[1].lock(LockId(0)).wait().unwrap_err(),
             LockError::ClusterDown
@@ -1339,6 +1184,39 @@ mod tests {
         }
         let stats = cluster.shutdown();
         assert_eq!(stats.entries, 200 * n as u64);
+    }
+
+    #[test]
+    fn shard_slices_merge_into_one_cut_per_node() {
+        let config = LockSpaceClusterConfig {
+            keys: 8,
+            placement: Placement::Hub(NodeId(0)),
+            workers: 2,
+            flush: FlushPolicy::EveryTick,
+        };
+        let (cluster, mut clients) = LockSpaceCluster::start_with(&Tree::line(3), config);
+        assert_eq!(cluster.joins.len(), 3 * 2, "one thread per node shard");
+        // Keys 3 and 4 live in different shards; node 2 holds both.
+        let guard = clients[2]
+            .lock_many(&[LockId(3), LockId(4)])
+            .wait()
+            .unwrap();
+
+        let snapshot = cluster.snapshot();
+        let summary = snapshot.verify().expect("sharded cut is consistent");
+        assert_eq!(snapshot.nodes(), 3);
+        assert_eq!(summary.executing, 2);
+        let node2 = &snapshot.cuts()[2];
+        assert_eq!(node2.node, NodeId(2));
+        let mut held = node2.held.clone();
+        held.sort();
+        assert_eq!(held, vec![LockId(3), LockId(4)]);
+        assert!(node2.keys.windows(2).all(|w| w[0].key < w[1].key));
+        assert_eq!(node2.in_flight.len(), 3);
+
+        drop(guard);
+        drop(clients);
+        cluster.shutdown();
     }
 
     #[test]

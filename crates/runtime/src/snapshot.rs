@@ -16,10 +16,17 @@
 //! 3. A node that sees a marker before any local trigger takes its cut
 //!    right then (that channel records nothing).
 //!
-//! Because every node is asked to snapshot at once (multi-initiator),
-//! each node's cut is triggered by whichever arrives first — the local
-//! request or a peer's marker — and the union of slices is still one
-//! consistent global cut.
+//! The Chandy–Lamport processes are the cluster's shard threads: shard
+//! `w` of every node serves the same keys and talks only to shard `w`
+//! of its peers, so each shard index is an independent system over its
+//! own FIFO channels, and a node with several shards takes one cut per
+//! shard. Because every shard thread is asked to snapshot at once
+//! (multi-initiator), each one's cut is triggered by whichever arrives
+//! first — the local request or a peer's marker — and the union of
+//! slices is still one consistent global cut. A node's shard slices
+//! then merge into its one [`NodeCut`]: keys, held and pending keys,
+//! and staged sends concatenate, and so does each peer's in-flight
+//! recording.
 //!
 //! [`LockSpaceSnapshot::verify`] then replays the paper's invariant
 //! against the cut: every key has **exactly one** privilege — parked in
@@ -69,6 +76,19 @@ pub struct NodeCut {
 }
 
 impl NodeCut {
+    /// Folds another slice of the same node — one shard thread's — into
+    /// this one. Keys are left unsorted.
+    pub(crate) fn merge(&mut self, shard: NodeCut) {
+        debug_assert_eq!(self.node, shard.node, "slices of different nodes");
+        self.keys.extend(shard.keys);
+        self.held.extend(shard.held);
+        self.pending.extend(shard.pending);
+        self.staged.extend(shard.staged);
+        for (mine, theirs) in self.in_flight.iter_mut().zip(shard.in_flight) {
+            mine.extend(theirs);
+        }
+    }
+
     /// Keyed messages recorded in flight on this node's incoming
     /// channels.
     pub fn recorded_messages(&self) -> usize {
