@@ -1,18 +1,24 @@
-//! Benchmarks the threaded distributed-lock runtimes: parked-token
+//! Benchmarks the threaded distributed-lock runtime: parked-token
 //! re-acquisition (the hot path the paper's token residence enables),
 //! the free refusal of `try_now` on a remote token, and the remote
-//! hand-off between two leaves of a star — on the single-key `Cluster`
-//! and, for the last two, on the multi-key `LockSpaceCluster`.
+//! hand-off between two leaves of a star — on a one-key
+//! `LockSpaceCluster` (the paper's single lock) and, for the last two,
+//! on a 64-key one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmx_core::LockId;
 use dmx_lockspace::Placement;
-use dmx_runtime::{Cluster, LockError, LockSpaceCluster};
+use dmx_runtime::{LockClient, LockError, LockSpaceCluster};
 use dmx_topology::{NodeId, Tree};
+
+/// The paper's single lock: one key whose token starts at `holder`.
+fn one_key(tree: &Tree, holder: NodeId) -> (LockSpaceCluster, Vec<LockClient>) {
+    LockSpaceCluster::start(tree, 1, Placement::Hub(holder))
+}
 
 fn bench(c: &mut Criterion) {
     c.bench_function("runtime/parked_token_reacquire", |b| {
-        let (cluster, mut clients) = Cluster::start(&Tree::star(4), NodeId(1));
+        let (cluster, mut clients) = one_key(&Tree::star(4), NodeId(1));
         // Park the token at node 1 by locking once.
         drop(clients[1].lock(LockId(0)).wait().unwrap());
         b.iter(|| {
@@ -27,7 +33,7 @@ fn bench(c: &mut Criterion) {
         // The cheapest possible client round trip: the token is parked
         // at node 1, node 2 asks "now or never" and is refused without
         // a single protocol message.
-        let (cluster, mut clients) = Cluster::start(&Tree::star(4), NodeId(1));
+        let (cluster, mut clients) = one_key(&Tree::star(4), NodeId(1));
         drop(clients[1].lock(LockId(0)).wait().unwrap());
         b.iter(|| {
             let refused = clients[2].lock(LockId(0)).try_now();
@@ -38,7 +44,7 @@ fn bench(c: &mut Criterion) {
     });
 
     c.bench_function("runtime/remote_handoff_star", |b| {
-        let (cluster, mut clients) = Cluster::start(&Tree::star(4), NodeId(1));
+        let (cluster, mut clients) = one_key(&Tree::star(4), NodeId(1));
         let (left, right) = clients.split_at_mut(2);
         let c1 = &mut left[1];
         let c2 = &mut right[0];
@@ -78,7 +84,7 @@ fn bench(c: &mut Criterion) {
     });
 
     c.bench_function("runtime/line8_end_to_end", |b| {
-        let (cluster, mut clients) = Cluster::start(&Tree::line(8), NodeId(0));
+        let (cluster, mut clients) = one_key(&Tree::line(8), NodeId(0));
         let (left, right) = clients.split_at_mut(7);
         let c0 = &mut left[0];
         let c7 = &mut right[0];

@@ -4,8 +4,8 @@
 //! Every lock-space driver in this workspace — the simulated
 //! [`LockSpaceNode`](crate::LockSpaceNode), the
 //! [`ScriptedClient`](crate::ScriptedClient) session executor, the
-//! parallel engine's shards, and `dmx-runtime`'s threaded workers and
-//! single-key node loop — hosts the same thing per node: a lazily
+//! parallel engine's shards, and `dmx-runtime`'s threaded shard loop
+//! (over channels or sockets) — hosts the same thing per node: a lazily
 //! filled [`LockTable`] of [`DagNode`]s, one per key the node has seen
 //! traffic for. [`KeyedNode`] is that table plus the only code that
 //! drives it:
@@ -511,7 +511,7 @@ mod tests {
 
     #[test]
     fn hub_placement_seeds_the_papers_initial_configuration() {
-        // The single-key clusters rely on this: one key under
+        // The single-lock runtimes rely on this: one key under
         // `Hub(holder)` materializes exactly the `INIT`-flood result.
         let tree = Tree::kary(13, 3);
         let holder = NodeId(6);

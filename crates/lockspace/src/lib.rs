@@ -15,10 +15,10 @@
 //!   every driver runs: a node's per-key [`DagNode`](dmx_core::DagNode)s
 //!   behind four sans-IO calls (`request`, `try_request`, `release`,
 //!   `deliver`) that append keyed sends and entries to a caller-owned
-//!   buffer. The five drivers — [`LockSpaceNode`], [`ScriptedClient`],
+//!   buffer. The four drivers — [`LockSpaceNode`], [`ScriptedClient`],
 //!   the [`parallel`] engine's shards, and `dmx-runtime`'s threaded
-//!   shard loop and single-key node loop — are thin adapters over it that
-//!   keep only their I/O, their clock, and their user-side policy;
+//!   shard loop (over channels or sockets) — are thin adapters over it
+//!   that keep only their I/O, their clock, and their user-side policy;
 //! * [`LockTable`] — the core's sharded `LockId -> instance` map, lazily
 //!   materialized so untouched keys cost nothing;
 //! * [`Envelope`] — the wire format: one delivery carries one keyed

@@ -23,7 +23,7 @@
 //! paper has no cancel message); the node releases the privilege the
 //! moment it arrives — unless a new acquisition on the same key adopts
 //! the in-flight request first. This abandon machinery is uniform
-//! across all three backends (see [`service`](crate::service)).
+//! across both backends (see [`service`](crate::service)).
 
 use std::time::{Duration, Instant};
 
@@ -32,24 +32,8 @@ use dmx_core::LockId;
 use dmx_topology::NodeId;
 use dmx_workload::{AcquireMode, Outcome, Script, SessionOp};
 
+use crate::lockspace::Input;
 use crate::service::{LockError, Reply};
-
-/// The per-node operations a backend must serve; each backend's node
-/// loop implements this over its own input channel.
-pub(crate) trait Endpoint: Send {
-    /// Submit an acquisition for `key`; the node replies
-    /// [`Reply::Granted`] on `ack` when the privilege is local.
-    fn acquire(&self, key: LockId, ack: Sender<Reply>) -> Result<(), LockError>;
-    /// Submit a try-acquisition for `key`: the node replies
-    /// [`Reply::Granted`] (and enters) iff the token is locally
-    /// available right now, else [`Reply::Unavailable`] — never
-    /// sending a protocol message.
-    fn try_acquire(&self, key: LockId, ack: Sender<Reply>) -> Result<(), LockError>;
-    /// The user gave up waiting on `key`.
-    fn abandon(&self, key: LockId) -> Result<(), LockError>;
-    /// The user left `key`'s critical section.
-    fn release(&self, key: LockId);
-}
 
 /// How long an acquisition may block, and which error expiry maps to.
 #[derive(Debug, Clone, Copy)]
@@ -66,13 +50,9 @@ enum WaitLimit {
 pub struct LockClient {
     node: NodeId,
     keys: u32,
-    endpoint: Box<dyn Endpoint>,
-}
-
-impl std::fmt::Debug for dyn Endpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Endpoint { .. }")
-    }
+    /// This node's shard inboxes; key `k` is served by shard
+    /// `k % shards.len()`.
+    shards: Vec<Sender<Input>>,
 }
 
 /// A single-key acquisition, ready to run; does nothing until one of
@@ -114,12 +94,21 @@ pub struct MultiGuard<'a> {
 }
 
 impl LockClient {
-    pub(crate) fn new(node: NodeId, keys: u32, endpoint: Box<dyn Endpoint>) -> Self {
-        LockClient {
-            node,
-            keys,
-            endpoint,
-        }
+    pub(crate) fn new(node: NodeId, keys: u32, shards: Vec<Sender<Input>>) -> Self {
+        LockClient { node, keys, shards }
+    }
+
+    /// Hands `input` to the shard serving `key`.
+    fn send(&self, key: LockId, input: Input) -> Result<(), LockError> {
+        self.shards[key.index() % self.shards.len()]
+            .send(input)
+            .map_err(|_| LockError::ClusterDown)
+    }
+
+    /// Tells `key`'s shard the local user left its critical section.
+    fn release(&self, key: LockId) {
+        // If the cluster is already gone there is nobody to notify.
+        let _ = self.send(key, Input::Release(key));
     }
 
     /// This client's node.
@@ -128,7 +117,7 @@ impl LockClient {
     }
 
     /// Number of keys the backend serves (valid keys are
-    /// `LockId(0..keys)`; `1` for the single-lock backends).
+    /// `LockId(0..keys)`; `1` for a single lock).
     pub fn keys(&self) -> u32 {
         self.keys
     }
@@ -176,7 +165,7 @@ impl LockClient {
     /// is held.
     fn acquire_key(&mut self, key: LockId, limit: WaitLimit) -> Result<(), LockError> {
         let (ack_tx, ack_rx) = bounded(1);
-        self.endpoint.acquire(key, ack_tx)?;
+        self.send(key, Input::Acquire(key, ack_tx))?;
         match limit {
             WaitLimit::Forever => match ack_rx.recv() {
                 Ok(Reply::Granted) => Ok(()),
@@ -189,7 +178,7 @@ impl LockClient {
                     Ok(Reply::Granted) => Ok(()),
                     Ok(Reply::Unavailable) => unreachable!("blocking acquire never bounces"),
                     Err(RecvTimeoutError::Timeout) => {
-                        self.endpoint.abandon(key)?;
+                        self.send(key, Input::Abandon(key))?;
                         Err(expired)
                     }
                     Err(RecvTimeoutError::Disconnected) => Err(LockError::ClusterDown),
@@ -201,7 +190,7 @@ impl LockClient {
     /// One non-blocking acquisition; `Ok` means the key is held.
     fn try_key(&mut self, key: LockId) -> Result<(), LockError> {
         let (ack_tx, ack_rx) = bounded(1);
-        self.endpoint.try_acquire(key, ack_tx)?;
+        self.send(key, Input::TryAcquire(key, ack_tx))?;
         match ack_rx.recv() {
             Ok(Reply::Granted) => Ok(()),
             Ok(Reply::Unavailable) => Err(LockError::WouldBlock),
@@ -224,7 +213,7 @@ impl LockClient {
     /// Releases `held` in reverse acquisition order.
     fn release_all(&mut self, held: &[LockId]) {
         for &key in held.iter().rev() {
-            self.endpoint.release(key);
+            self.release(key);
         }
     }
 }
@@ -401,7 +390,7 @@ impl LockGuard<'_> {
 
 impl Drop for LockGuard<'_> {
     fn drop(&mut self) {
-        self.client.endpoint.release(self.key);
+        self.client.release(self.key);
     }
 }
 

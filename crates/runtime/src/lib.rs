@@ -2,15 +2,20 @@
 //! *distributed lock* you can actually take, behind one unified client
 //! API.
 //!
-//! Three backends implement the same [`LockService`] and hand out the
-//! same [`LockClient`]/[`LockGuard`] pair:
+//! Two backends implement the same [`LockService`], hand out the same
+//! [`LockClient`]/[`LockGuard`] pair, and run the same node loop — one
+//! thread per node shard over a [`KeyedNode`](dmx_lockspace::KeyedNode)
+//! core and the simulator's coalescing transport:
 //!
-//! * [`Cluster`] — one OS thread per tree node, crossbeam channels
-//!   (per-sender FIFO, the paper's only network assumption);
-//! * [`tcp::TcpCluster`] — the same node loop over loopback sockets;
-//! * [`LockSpaceCluster`] — the sharded multi-key lock service: one
-//!   thread per node shard (one per node by default), each running the
-//!   keyed node loop and the simulator's coalescing transport inline.
+//! * [`LockSpaceCluster`] — the sharded multi-key lock service over
+//!   crossbeam channels (per-sender FIFO, the paper's only network
+//!   assumption). One key placed at the initial holder,
+//!   `Placement::Hub(holder)`, is the paper's single lock;
+//! * [`tcp::TcpCluster`] — the same loop with one key over loopback
+//!   sockets, one thread per node.
+//!
+//! Both return [`LockSpaceStats`] and take Chandy–Lamport snapshots
+//! ([`LockService::snapshot`]) while the lock is in use.
 //!
 //! Acquisition is a builder — [`LockClient::lock`] then one of
 //! [`wait`](LockRequest::wait), [`try_now`](LockRequest::try_now),
@@ -20,12 +25,14 @@
 //!
 //! ```
 //! use dmx_core::LockId;
-//! use dmx_runtime::Cluster;
+//! use dmx_lockspace::Placement;
+//! use dmx_runtime::LockSpaceCluster;
 //! use dmx_topology::{NodeId, Tree};
 //! use std::time::Duration;
 //!
-//! // Token starts at leaf 1 — the star's worst case for node 2.
-//! let (cluster, mut clients) = Cluster::start(&Tree::star(4), NodeId(1));
+//! // One lock, token at leaf 1 — the star's worst case for node 2.
+//! let (cluster, mut clients) =
+//!     LockSpaceCluster::start(&Tree::star(4), 1, Placement::Hub(NodeId(1)));
 //! {
 //!     let _guard = clients[2].lock(LockId(0)).wait()?; // token travels to node 2
 //!     // ... critical section ...
@@ -51,16 +58,12 @@
 #![warn(missing_docs)]
 
 mod client;
-mod cluster;
 mod lockspace;
 pub mod service;
 pub mod snapshot;
-mod stats;
 pub mod tcp;
 
 pub use client::{run_script, LockClient, LockGuard, LockRequest, MultiGuard, MultiRequest};
-pub use cluster::Cluster;
 pub use lockspace::{LockSpaceCluster, LockSpaceClusterConfig, LockSpaceNodeStats, LockSpaceStats};
 pub use service::{LockError, LockService};
 pub use snapshot::{KeyCut, LockSpaceSnapshot, NodeCut, SnapshotSummary, SnapshotViolation};
-pub use stats::{ClusterStats, NodeStats};

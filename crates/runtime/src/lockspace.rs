@@ -12,8 +12,7 @@
 //!
 //! * a [`KeyedNode`] core — the same keyed core every other driver in
 //!   the workspace runs (the simulated lock space, the session executor,
-//!   the parallel engine's shards, and the single-key node loop behind
-//!   [`Cluster`] and [`TcpCluster`]);
+//!   and the parallel engine's shards);
 //! * a [`Transport`] and its [`BatchPool`] — `dmx-lockspace`'s
 //!   coalescing layer, the identical grouping code the simulated
 //!   `LockSpace` flushes through;
@@ -42,11 +41,16 @@
 //!
 //! Every driver is an adapter over the one core: the core owns the
 //! per-key protocol state and its transitions, the adapter owns the
-//! I/O (here: channels and the shard's transport), the clock (none —
+//! I/O (here: the shard's transport and its wire), the clock (none —
 //! the threaded runtime is tickless), and the user-side policy (here:
 //! the shard's pending/abandon set).
 //!
-//! [`Cluster`]: crate::Cluster
+//! The shard loop is the only node loop in this crate. It is generic
+//! over its outbound wire: in-process channels here, loopback sockets
+//! under [`TcpCluster`]. A single lock is this cluster with one key
+//! placed at the initial holder, `Placement::Hub(holder)`, which
+//! materializes exactly the paper's initial configuration.
+//!
 //! [`TcpCluster`]: crate::tcp::TcpCluster
 //!
 //! # Examples
@@ -82,10 +86,8 @@ use dmx_lockspace::{
 };
 use dmx_topology::{NodeId, Tree};
 
-use crate::client::{Endpoint, LockClient};
-use crate::service::{
-    AbandonAction, AcquireAction, GrantAction, LockError, LockService, PendingSet, Reply,
-};
+use crate::client::LockClient;
+use crate::service::{AbandonAction, AcquireAction, GrantAction, LockService, PendingSet, Reply};
 use crate::snapshot::{KeyCut, LockSpaceSnapshot, NodeCut};
 
 /// Threaded lock-space parameters.
@@ -137,7 +139,7 @@ impl Default for LockSpaceClusterConfig {
 }
 
 /// Inputs a shard thread processes.
-enum Input {
+pub(crate) enum Input {
     /// Local user wants `key`'s critical section; reply when granted.
     Acquire(LockId, Sender<Reply>),
     /// Local user wants `key` only if its token is here right now;
@@ -171,6 +173,34 @@ enum Input {
     },
     /// Stop and report stats.
     Shutdown,
+}
+
+/// How a shard reaches the same shard of its peers: in-process
+/// channels ([`Channels`]) or sockets (`tcp::Sockets`). The shard loop
+/// is monomorphized over it.
+pub(crate) trait Wire: Send + 'static {
+    /// Transmits one envelope from `from` to `to`.
+    fn send(&mut self, from: NodeId, to: NodeId, envelope: Envelope);
+
+    /// Transmits a Chandy–Lamport marker from `from` to `to`, behind
+    /// every envelope already sent on that channel.
+    fn marker(&mut self, from: NodeId, to: NodeId);
+}
+
+/// The in-process wire: the inbox of the same shard of every node,
+/// indexed by node.
+struct Channels(Vec<Sender<Input>>);
+
+impl Wire for Channels {
+    fn send(&mut self, from: NodeId, to: NodeId, envelope: Envelope) {
+        // A send can only fail during shutdown, when the counters no
+        // longer matter.
+        let _ = self.0[to.index()].send(Input::Net { from, envelope });
+    }
+
+    fn marker(&mut self, from: NodeId, to: NodeId) {
+        let _ = self.0[to.index()].send(Input::Marker { from });
+    }
 }
 
 /// One shard's in-progress Chandy–Lamport cut. The shard's state was
@@ -259,6 +289,22 @@ impl LockSpaceStats {
     pub fn node(&self, node: NodeId) -> &LockSpaceNodeStats {
         &self.per_node[node.index()]
     }
+
+    /// Mean keyed messages per critical-section entry across the run.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # use dmx_runtime::LockSpaceStats;
+    /// assert_eq!(LockSpaceStats::default().messages_per_entry(), 0.0);
+    /// ```
+    pub fn messages_per_entry(&self) -> f64 {
+        if self.entries == 0 {
+            0.0
+        } else {
+            self.messages_total as f64 / self.entries as f64
+        }
+    }
 }
 
 /// A running multi-lock cluster: per tree node, one shard thread per
@@ -277,40 +323,6 @@ pub struct LockSpaceCluster {
     /// `i * workers + w`.
     txs: Vec<Sender<Input>>,
     joins: Vec<JoinHandle<LockSpaceNodeStats>>,
-}
-
-/// The lock space's [`Endpoint`]: client operations map onto keyed
-/// [`Input`]s for the shard owning the key.
-struct LockSpaceEndpoint {
-    /// This node's shard inboxes, indexed by shard.
-    shards: Vec<Sender<Input>>,
-}
-
-impl LockSpaceEndpoint {
-    fn send(&self, key: LockId, input: Input) -> Result<(), LockError> {
-        self.shards[key.index() % self.shards.len()]
-            .send(input)
-            .map_err(|_| LockError::ClusterDown)
-    }
-}
-
-impl Endpoint for LockSpaceEndpoint {
-    fn acquire(&self, key: LockId, ack: Sender<Reply>) -> Result<(), LockError> {
-        self.send(key, Input::Acquire(key, ack))
-    }
-
-    fn try_acquire(&self, key: LockId, ack: Sender<Reply>) -> Result<(), LockError> {
-        self.send(key, Input::TryAcquire(key, ack))
-    }
-
-    fn abandon(&self, key: LockId) -> Result<(), LockError> {
-        self.send(key, Input::Abandon(key))
-    }
-
-    fn release(&self, key: LockId) {
-        // If the cluster is already gone there is nobody to notify.
-        let _ = self.send(key, Input::Release(key));
-    }
 }
 
 impl LockSpaceCluster {
@@ -350,6 +362,24 @@ impl LockSpaceCluster {
         tree: &Tree,
         config: LockSpaceClusterConfig,
     ) -> (LockSpaceCluster, Vec<LockClient>) {
+        let workers = config.workers;
+        LockSpaceCluster::spawn(tree, config, |t, txs| {
+            let n = txs.len() / workers;
+            Channels(
+                (0..n)
+                    .map(|p| txs[p * workers + t % workers].clone())
+                    .collect(),
+            )
+        })
+    }
+
+    /// Validates `config` and spawns its `n × workers` shard threads;
+    /// shard `t` (node-major) reaches its peers over `wire(t, inboxes)`.
+    pub(crate) fn spawn<W: Wire>(
+        tree: &Tree,
+        config: LockSpaceClusterConfig,
+        mut wire: impl FnMut(usize, &[Sender<Input>]) -> W,
+    ) -> (LockSpaceCluster, Vec<LockClient>) {
         assert!(config.keys > 0, "lock space needs at least one key");
         assert!(config.workers > 0, "lock space needs at least one worker");
         config.flush.validate();
@@ -368,7 +398,7 @@ impl LockSpaceCluster {
             .into_iter()
             .enumerate()
             .map(|(t, rx)| {
-                let (me, w) = (NodeId::from_index(t / workers), t % workers);
+                let me = NodeId::from_index(t / workers);
                 let shard = Shard {
                     core: KeyedNode::new(me, 16),
                     seeds: Seeds::new(Arc::clone(&tree), config.placement.clone()),
@@ -378,7 +408,8 @@ impl LockSpaceCluster {
                     bursts: 0,
                     pending: PendingSet::new(),
                     held: Vec::new(),
-                    peers: (0..n).map(|p| txs[p * workers + w].clone()).collect(),
+                    n,
+                    wire: wire(t, &txs),
                     cut: None,
                     stats: LockSpaceNodeStats::default(),
                 };
@@ -389,15 +420,7 @@ impl LockSpaceCluster {
         let clients = txs
             .chunks(workers)
             .enumerate()
-            .map(|(i, shards)| {
-                LockClient::new(
-                    NodeId::from_index(i),
-                    config.keys,
-                    Box::new(LockSpaceEndpoint {
-                        shards: shards.to_vec(),
-                    }),
-                )
-            })
+            .map(|(i, shards)| LockClient::new(NodeId::from_index(i), config.keys, shards.to_vec()))
             .collect();
         (
             LockSpaceCluster {
@@ -409,6 +432,12 @@ impl LockSpaceCluster {
             },
             clients,
         )
+    }
+
+    /// The shard inboxes, node-major: shard `w` of node `i` sits at
+    /// `i * workers + w`.
+    pub(crate) fn inboxes(&self) -> &[Sender<Input>] {
+        &self.txs
     }
 
     /// Number of nodes.
@@ -496,8 +525,6 @@ impl Drop for LockSpaceCluster {
 }
 
 impl LockService for LockSpaceCluster {
-    type Stats = LockSpaceStats;
-
     fn len(&self) -> usize {
         LockSpaceCluster::len(self)
     }
@@ -506,8 +533,8 @@ impl LockService for LockSpaceCluster {
         LockSpaceCluster::keys(self)
     }
 
-    fn snapshot(&self) -> Option<LockSpaceSnapshot> {
-        Some(LockSpaceCluster::snapshot(self))
+    fn snapshot(&self) -> LockSpaceSnapshot {
+        LockSpaceCluster::snapshot(self)
     }
 
     fn shutdown(self) -> LockSpaceStats {
@@ -515,8 +542,9 @@ impl LockService for LockSpaceCluster {
     }
 }
 
-/// One shard thread: a full node loop for the keys hashed to it.
-struct Shard {
+/// One shard thread: a full node loop for the keys hashed to it,
+/// sending over the wire `W`.
+struct Shard<W> {
     core: KeyedNode,
     seeds: Seeds,
     /// The core's output, reused across inputs.
@@ -527,20 +555,21 @@ struct Shard {
     /// the simulator's coalescing window).
     bursts: u64,
     /// The local user's outstanding acquisitions (waiting or abandoned)
-    /// for this shard's keys — the same machine the single-lock node
-    /// loop runs for its one key.
+    /// for this shard's keys.
     pending: PendingSet,
     /// Keys the local user currently holds (granted, not yet released);
     /// `lock_many` holds several at once.
     held: Vec<LockId>,
-    /// The same shard of every node, indexed by node.
-    peers: Vec<Sender<Input>>,
+    /// Number of nodes.
+    n: usize,
+    /// The way to the same shard of every node.
+    wire: W,
     /// The in-progress Chandy–Lamport cut, if any.
     cut: Option<CutState>,
     stats: LockSpaceNodeStats,
 }
 
-impl Shard {
+impl<W: Wire> Shard<W> {
     fn run(mut self, rx: Receiver<Input>) -> LockSpaceNodeStats {
         loop {
             // Block only while nothing is staged; otherwise flush the
@@ -705,12 +734,10 @@ impl Shard {
 
     /// Transmits everything staged, one envelope per destination.
     fn flush(&mut self) {
-        let (me, peers, stats) = (self.core.id(), &self.peers, &mut self.stats);
+        let (me, wire, stats) = (self.core.id(), &mut self.wire, &mut self.stats);
         self.transport.flush(&mut self.pool, |to, envelope| {
             stats.envelopes_sent += 1;
-            // A send can only fail during shutdown, when the counters
-            // no longer matter.
-            let _ = peers[to.index()].send(Input::Net { from: me, envelope });
+            wire.send(me, to, envelope);
         });
         self.bursts = 0;
     }
@@ -723,7 +750,7 @@ impl Shard {
         if let Some(cut) = self.cut.take() {
             return cut;
         }
-        let (me, n) = (self.core.id(), self.peers.len());
+        let (me, n) = (self.core.id(), self.n);
         let mut slice = NodeCut {
             node: me,
             keys: self
@@ -745,10 +772,8 @@ impl Shard {
             .for_each_engaged(|key, abandoned| slice.pending.push((key, abandoned)));
         self.transport
             .for_each_staged(|to, msg| slice.staged.push((to, *msg)));
-        for (p, peer) in self.peers.iter().enumerate() {
-            if p != me.index() {
-                let _ = peer.send(Input::Marker { from: me });
-            }
+        for to in (0..n).map(NodeId::from_index).filter(|&p| p != me) {
+            self.wire.marker(me, to);
         }
         CutState {
             reply: None,
@@ -776,6 +801,7 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LockError;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Barrier;
     use std::time::Duration;
@@ -1220,10 +1246,18 @@ mod tests {
     }
 
     #[test]
-    fn single_lock_backends_have_no_online_snapshot() {
-        let (cluster, _clients) = crate::Cluster::start(&Tree::line(2), NodeId(0));
-        assert!(LockService::snapshot(&cluster).is_none());
-        cluster.shutdown();
+    fn aggregation() {
+        let node = |requests_sent, privileges_sent, entries| LockSpaceNodeStats {
+            requests_sent,
+            privileges_sent,
+            entries,
+            ..LockSpaceNodeStats::default()
+        };
+        let stats = LockSpaceStats::from_nodes(vec![node(2, 1, 1), node(0, 1, 2)]);
+        assert_eq!(stats.messages_total, 4);
+        assert_eq!(stats.entries, 3);
+        assert_eq!(stats.node(NodeId(1)).privileges_sent, 1);
+        assert!((stats.messages_per_entry() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1278,5 +1312,282 @@ mod tests {
             ..LockSpaceClusterConfig::default()
         };
         let _ = LockSpaceCluster::start_with(&Tree::line(2), config);
+    }
+
+    /// The paper's single lock: one key whose token starts at `holder`.
+    mod single_key {
+        use super::*;
+
+        fn one_key(tree: &Tree, holder: NodeId) -> (LockSpaceCluster, Vec<LockClient>) {
+            LockSpaceCluster::start(tree, 1, Placement::Hub(holder))
+        }
+
+        #[test]
+        fn lock_round_trip_on_star() {
+            let (cluster, mut clients) = one_key(&Tree::star(4), NodeId(0));
+            {
+                let guard = clients[2].lock(LockId(0)).wait().unwrap();
+                assert_eq!(guard.node(), NodeId(2));
+                assert_eq!(guard.key(), LockId(0));
+            }
+            let stats = cluster.shutdown();
+            assert_eq!(stats.entries, 1);
+            // leaf -> center REQUEST, center -> holder? center IS holder here:
+            // REQUEST 2->0 then PRIVILEGE 0->2 = 2 messages.
+            assert_eq!(stats.messages_total, 2);
+        }
+
+        #[test]
+        fn token_parks_making_reentry_free() {
+            let (cluster, mut clients) = one_key(&Tree::line(3), NodeId(0));
+            drop(clients[2].lock(LockId(0)).wait().unwrap());
+            {
+                // Token is now parked at node 2; further locks cost nothing.
+                for _ in 0..10 {
+                    drop(clients[2].lock(LockId(0)).wait().unwrap());
+                }
+            };
+            let stats = cluster.shutdown();
+            assert_eq!(stats.entries, 11);
+            // First acquisition: 2 REQUEST hops + 1 PRIVILEGE; then silence.
+            assert_eq!(stats.messages_total, 3);
+            assert_eq!(stats.node(NodeId(2)).entries, 11);
+        }
+
+        #[test]
+        fn mutual_exclusion_under_contention() {
+            let n = 5;
+            let (cluster, clients) = one_key(&Tree::star(n), NodeId(0));
+            let in_cs = Arc::new(AtomicBool::new(false));
+            let counter = Arc::new(AtomicU64::new(0));
+            let mut workers = Vec::new();
+            for mut client in clients {
+                let in_cs = Arc::clone(&in_cs);
+                let counter = Arc::clone(&counter);
+                workers.push(std::thread::spawn(move || {
+                    for _ in 0..20 {
+                        let guard = client.lock(LockId(0)).wait().unwrap();
+                        assert!(
+                            !in_cs.swap(true, Ordering::SeqCst),
+                            "two nodes inside the critical section"
+                        );
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        in_cs.store(false, Ordering::SeqCst);
+                        drop(guard);
+                    }
+                }));
+            }
+            for w in workers {
+                w.join().unwrap();
+            }
+            let stats = cluster.shutdown();
+            assert_eq!(counter.load(Ordering::Relaxed), 20 * n as u64);
+            assert_eq!(stats.entries, 20 * n as u64);
+        }
+
+        #[test]
+        fn lock_after_shutdown_errors() {
+            let (cluster, mut clients) = one_key(&Tree::line(2), NodeId(0));
+            cluster.shutdown();
+            assert_eq!(
+                clients[1].lock(LockId(0)).wait().unwrap_err(),
+                LockError::ClusterDown
+            );
+        }
+
+        #[test]
+        fn dropping_the_cluster_stops_its_threads() {
+            let (cluster, mut clients) = one_key(&Tree::line(2), NodeId(0));
+            drop(cluster);
+            assert_eq!(
+                clients[1].lock(LockId(0)).wait().unwrap_err(),
+                LockError::ClusterDown
+            );
+        }
+
+        #[test]
+        fn explicit_unlock_equals_drop() {
+            let (cluster, mut clients) = one_key(&Tree::line(2), NodeId(1));
+            let guard = clients[0].lock(LockId(0)).wait().unwrap();
+            guard.unlock();
+            let _again = clients[0].lock(LockId(0)).wait().unwrap();
+            drop(_again);
+            let stats = cluster.shutdown();
+            assert_eq!(stats.entries, 2);
+        }
+
+        #[test]
+        fn single_node_cluster_is_a_plain_mutex() {
+            let (cluster, mut clients) = one_key(&Tree::line(1), NodeId(0));
+            for _ in 0..100 {
+                drop(clients[0].lock(LockId(0)).wait().unwrap());
+            }
+            let stats = cluster.shutdown();
+            assert_eq!(stats.entries, 100);
+            assert_eq!(stats.messages_total, 0);
+        }
+
+        #[test]
+        fn lock_timeout_times_out_while_contended_then_autoreleases() {
+            let (cluster, mut clients) = one_key(&Tree::star(3), NodeId(1));
+            let (left, right) = clients.split_at_mut(2);
+            let c1 = &mut left[1];
+            let c2 = &mut right[0];
+
+            let guard = c1.lock(LockId(0)).wait().unwrap();
+            // Token is busy at node 1: node 2 gives up after 30ms.
+            assert_eq!(
+                c2.lock(LockId(0))
+                    .timeout(Duration::from_millis(30))
+                    .unwrap_err(),
+                LockError::Timeout,
+                "must time out while the lock is held"
+            );
+            drop(guard); // token now travels to node 2, which auto-releases
+
+            // Node 1 can reacquire: the abandoned grant did not wedge the token.
+            let again = c1.lock(LockId(0)).timeout(Duration::from_secs(5));
+            assert!(again.is_ok());
+            drop(again);
+            drop(clients);
+            let stats = cluster.shutdown();
+            assert_eq!(stats.node(NodeId(2)).abandoned, 1);
+            assert_eq!(stats.entries, 2);
+        }
+
+        #[test]
+        fn new_lock_adopts_abandoned_request() {
+            let (cluster, clients) = one_key(&Tree::line(2), NodeId(0));
+            let mut it = clients.into_iter();
+            let mut c0 = it.next().unwrap();
+            let mut c1 = it.next().unwrap();
+
+            let guard = c0.lock(LockId(0)).wait().unwrap();
+            // Node 1's REQUEST goes out, then the user gives up.
+            assert_eq!(
+                c1.lock(LockId(0))
+                    .timeout(Duration::from_millis(20))
+                    .unwrap_err(),
+                LockError::Timeout
+            );
+
+            // Re-acquire from another thread while node 0 still holds: the
+            // new acquisition adopts the in-flight request.
+            let waiter = std::thread::spawn(move || {
+                let g = c1.lock(LockId(0)).wait().unwrap();
+                drop(g);
+                c1
+            });
+            // Give the Acquire time to land before the privilege is released.
+            std::thread::sleep(Duration::from_millis(60));
+            drop(guard);
+            let c1 = waiter.join().unwrap();
+
+            drop(c0);
+            drop(c1);
+            let stats = cluster.shutdown();
+            // One REQUEST covered both of node 1's acquisition attempts, and
+            // the grant went to the adopting attempt (no abandoned bounce).
+            assert_eq!(stats.node(NodeId(1)).requests_sent, 1);
+            assert_eq!(stats.node(NodeId(1)).abandoned, 0);
+            assert_eq!(stats.entries, 2);
+        }
+
+        #[test]
+        fn uncontended_lock_timeout_succeeds() {
+            let (cluster, mut clients) = one_key(&Tree::star(4), NodeId(0));
+            let guard = clients[3].lock(LockId(0)).timeout(Duration::from_secs(5));
+            assert!(guard.is_ok());
+            drop(guard);
+            drop(clients);
+            assert_eq!(cluster.shutdown().entries, 1);
+        }
+
+        #[test]
+        fn try_now_succeeds_only_where_the_token_is() {
+            let (cluster, mut clients) = one_key(&Tree::line(3), NodeId(2));
+            // The token is at node 2; node 0 cannot take it without waiting,
+            // and the refusal costs zero protocol messages.
+            assert_eq!(
+                clients[0].lock(LockId(0)).try_now().unwrap_err(),
+                LockError::WouldBlock
+            );
+            {
+                let guard = clients[2].lock(LockId(0)).try_now().unwrap();
+                assert_eq!(guard.node(), NodeId(2));
+            }
+            drop(clients);
+            let stats = cluster.shutdown();
+            assert_eq!(stats.entries, 1);
+            assert_eq!(stats.messages_total, 0, "try never sends messages");
+        }
+
+        #[test]
+        fn try_now_fails_while_another_node_holds() {
+            let (cluster, mut clients) = one_key(&Tree::star(3), NodeId(1));
+            let (left, right) = clients.split_at_mut(2);
+            let guard = left[1].lock(LockId(0)).wait().unwrap();
+            assert_eq!(
+                right[0].lock(LockId(0)).try_now().unwrap_err(),
+                LockError::WouldBlock
+            );
+            drop(guard);
+            drop(clients);
+            assert_eq!(cluster.shutdown().entries, 1);
+        }
+
+        #[test]
+        fn elapsed_deadline_fails_without_acquiring() {
+            let (cluster, mut clients) = one_key(&Tree::line(2), NodeId(0));
+            assert_eq!(
+                clients[1]
+                    .lock(LockId(0))
+                    .deadline(std::time::Instant::now())
+                    .unwrap_err(),
+                LockError::Deadline
+            );
+            // A generous deadline behaves like wait.
+            let guard = clients[1]
+                .lock(LockId(0))
+                .deadline(std::time::Instant::now() + Duration::from_secs(10));
+            assert!(guard.is_ok());
+            drop(guard);
+            drop(clients);
+            let stats = cluster.shutdown();
+            assert_eq!(stats.entries, 1);
+            // The elapsed-deadline attempt sent nothing: only the second
+            // acquisition's REQUEST + PRIVILEGE crossed the wire.
+            assert_eq!(stats.messages_total, 2);
+        }
+
+        #[test]
+        fn out_of_range_key_is_rejected_by_the_client() {
+            let (cluster, mut clients) = one_key(&Tree::line(2), NodeId(0));
+            let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = clients[0].lock(LockId(1));
+            }));
+            assert!(poisoned.is_err(), "single-lock clusters only serve key 0");
+            drop(clients);
+            cluster.shutdown();
+        }
+
+        #[test]
+        fn deep_line_still_serves_everyone() {
+            let n = 8;
+            let (cluster, clients) = one_key(&Tree::line(n), NodeId(0));
+            let mut workers = Vec::new();
+            for mut client in clients {
+                workers.push(std::thread::spawn(move || {
+                    for _ in 0..5 {
+                        drop(client.lock(LockId(0)).wait().unwrap());
+                    }
+                }));
+            }
+            for w in workers {
+                w.join().unwrap();
+            }
+            let stats = cluster.shutdown();
+            assert_eq!(stats.entries, 5 * n as u64);
+        }
     }
 }

@@ -1,14 +1,17 @@
 //! The unified client-facing lock API: one [`LockService`] trait, one
-//! [`LockError`], and the shared pending/abandon state machine every
-//! backend's node loop runs.
+//! [`LockError`], and the pending/abandon state machine the shard node
+//! loop runs.
 //!
-//! Three runtimes serve the same distributed lock — the channel-based
-//! [`Cluster`](crate::Cluster), the sharded multi-key
-//! [`LockSpaceCluster`](crate::LockSpaceCluster), and the socket-based
-//! [`TcpCluster`](crate::tcp::TcpCluster). All three hand out the same
+//! Two runtimes serve the same distributed lock — the channel-based
+//! [`LockSpaceCluster`](crate::LockSpaceCluster) (any number of keys;
+//! one key placed at the initial holder is the paper's single lock) and
+//! the socket-based [`TcpCluster`](crate::tcp::TcpCluster) (one key).
+//! Both run the same shard node loop, hand out the same
 //! [`LockClient`](crate::LockClient)/[`LockGuard`](crate::LockGuard)
-//! pair and implement this trait, so client code (and the scripted
-//! session driver, [`run_script`](crate::run_script)) is written once.
+//! pair, return the same [`LockSpaceStats`], serve the same
+//! Chandy–Lamport cuts, and implement this trait, so client code (and
+//! the scripted session driver, [`run_script`](crate::run_script)) is
+//! written once.
 //!
 //! # The same program, simulated and threaded
 //!
@@ -61,6 +64,7 @@ use std::fmt;
 use crossbeam::channel::Sender;
 use dmx_core::LockId;
 
+use crate::lockspace::LockSpaceStats;
 use crate::snapshot::LockSpaceSnapshot;
 
 /// Failure acquiring or releasing a distributed lock.
@@ -97,16 +101,13 @@ impl std::error::Error for LockError {}
 /// A running distributed-lock backend: some number of nodes serving
 /// some number of keys, stoppable for its counters.
 ///
-/// Implemented by [`Cluster`](crate::Cluster) and
-/// [`TcpCluster`](crate::tcp::TcpCluster) (single lock, `keys() == 1`)
-/// and [`LockSpaceCluster`](crate::LockSpaceCluster) (multi-key).
+/// Implemented by [`LockSpaceCluster`](crate::LockSpaceCluster)
+/// (channels, any number of keys) and
+/// [`TcpCluster`](crate::tcp::TcpCluster) (sockets, `keys() == 1`).
 /// Every implementor's `start` hands out one
 /// [`LockClient`](crate::LockClient) per node; see the
 /// [module docs](self) for the cross-substrate session example.
 pub trait LockService {
-    /// What [`shutdown`](LockService::shutdown) aggregates.
-    type Stats;
-
     /// Number of nodes serving the lock space.
     fn len(&self) -> usize;
 
@@ -115,21 +116,16 @@ pub trait LockService {
         self.len() == 0
     }
 
-    /// Number of distinct keys served (`1` for the single-lock
-    /// backends; clients' valid keys are `LockId(0..keys)`).
+    /// Number of distinct keys served (clients' valid keys are
+    /// `LockId(0..keys)`).
     fn keys(&self) -> u32;
 
     /// Captures a consistent cut of the live service without pausing
-    /// it, for backends that support online capture. The default is
-    /// `None`; [`LockSpaceCluster`](crate::LockSpaceCluster) overrides
-    /// it with a Chandy–Lamport marker snapshot (see
-    /// [`crate::snapshot`]).
-    fn snapshot(&self) -> Option<LockSpaceSnapshot> {
-        None
-    }
+    /// it: a Chandy–Lamport marker snapshot (see [`crate::snapshot`]).
+    fn snapshot(&self) -> LockSpaceSnapshot;
 
     /// Stops every node and returns the aggregated counters.
-    fn shutdown(self) -> Self::Stats;
+    fn shutdown(self) -> LockSpaceStats;
 }
 
 /// The node-side answer to an acquisition (sent on the client's ack
@@ -186,10 +182,9 @@ pub(crate) enum AbandonAction {
     Stale,
 }
 
-/// The shared pending/abandon state machine: per-key slots tracking the
-/// local user's outstanding acquisitions. The single-lock node loop
-/// runs it with the one key `LockId(0)`; each lock-space shard thread
-/// runs it across its shard of the key space. Both therefore expose *identical*
+/// The pending/abandon state machine: per-key slots tracking the local
+/// user's outstanding acquisitions. Each shard thread runs it across
+/// its shard of the key space, so every backend exposes *identical*
 /// timeout/abandon/adoption semantics — the uniformity the unified
 /// client API rests on.
 #[derive(Debug, Default)]

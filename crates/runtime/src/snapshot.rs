@@ -1,9 +1,11 @@
 //! Consistent cuts of a *live* lock space: Chandy–Lamport marker
-//! snapshots over the cluster's channel transport.
+//! snapshots over the cluster's transport.
 //!
 //! [`LockSpaceCluster::snapshot`](crate::LockSpaceCluster::snapshot)
-//! captures a [`LockSpaceSnapshot`] from a running threaded cluster
-//! without pausing it. The capture is the textbook marker algorithm
+//! (and [`TcpCluster::snapshot`](crate::tcp::TcpCluster::snapshot),
+//! whose markers share each socket with the data it carries) captures a
+//! [`LockSpaceSnapshot`] from a running threaded cluster without
+//! pausing it. The capture is the textbook marker algorithm
 //! (Chandy & Lamport 1985), leaning on the one network property this
 //! runtime already assumes — per-channel FIFO:
 //!

@@ -1,26 +1,34 @@
 //! TCP transport: the same distributed lock over real sockets.
 //!
-//! Each node binds a loopback listener; protocol messages travel as
-//! fixed 9-byte frames over lazily established, cached connections. TCP
-//! gives exactly the guarantees the paper's network model demands —
-//! reliable delivery and per-connection FIFO — so the unchanged
-//! [`DagNode`](dmx_core::DagNode) state machine runs correctly on top.
+//! Each node binds a loopback listener and runs the crate's one shard
+//! node loop for a single key, with a socket wire in place of the
+//! channels: keyed messages and Chandy–Lamport markers travel as fixed
+//! 13-byte frames over lazily established connections that each shard
+//! thread owns. TCP gives exactly the guarantees the paper's network
+//! model demands — reliable delivery and per-connection FIFO — so the
+//! unchanged [`DagNode`](dmx_core::DagNode) state machine runs
+//! correctly on top, and a marker sent behind a peer's data on the same
+//! connection keeps every cut consistent.
 //!
 //! This is the deployment-shaped embodiment; for measurements use the
 //! deterministic simulator (`dmx-simnet`), and for cheap in-process
-//! locking use the channel-based [`Cluster`](crate::Cluster).
+//! locking use the channel-based [`LockSpaceCluster`].
 //!
 //! # Wire format
 //!
 //! ```text
-//! byte 0      tag: 0 = REQUEST, 1 = PRIVILEGE
-//! bytes 1..5  sender node id   (u32, little endian)
-//! bytes 5..9  request origin Y (u32, little endian; 0 for PRIVILEGE)
+//! byte 0        tag: 0 = REQUEST, 1 = PRIVILEGE, 2 = MARKER
+//! bytes 1..5    sender node id    (u32, little endian)
+//! bytes 5..9    request origin Y  (u32, little endian; 0 unless REQUEST)
+//! bytes 9..13   key               (u32, little endian; 0 for MARKER)
 //! ```
 //!
 //! The REQUEST frame carries exactly the paper's two integers; the
 //! PRIVILEGE frame carries none (the id/origin fields are transport
-//! addressing, present in every frame).
+//! addressing, present in every frame). An envelope is its messages'
+//! frames written back to back in one write. A frame naming a node or
+//! key outside the cluster, or sent by the receiving node to itself, is
+//! rejected and its connection dropped.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -28,56 +36,162 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Sender};
-use dmx_core::DagMessage;
+use crossbeam::channel::Sender;
+use dmx_core::{DagMessage, KeyedDagMessage, LockId};
+use dmx_lockspace::{Envelope, FlushPolicy, Placement};
 use dmx_topology::{NodeId, Tree};
-use parking_lot::Mutex;
 
 use crate::client::LockClient;
-use crate::cluster::{make_client, node_main, single_key_seeds, Input};
+use crate::lockspace::{Input, LockSpaceCluster, LockSpaceClusterConfig, LockSpaceStats, Wire};
 use crate::service::LockService;
-use crate::stats::{ClusterStats, NodeStats};
+use crate::snapshot::LockSpaceSnapshot;
 
 const TAG_REQUEST: u8 = 0;
 const TAG_PRIVILEGE: u8 = 1;
-const FRAME_LEN: usize = 9;
+const TAG_MARKER: u8 = 2;
+const FRAME_LEN: usize = 13;
+/// Keys a TCP cluster serves: the one lock, `LockId(0)`.
+const KEYS: u32 = 1;
 
-fn encode(from: NodeId, msg: &DagMessage) -> [u8; FRAME_LEN] {
-    let mut frame = [0u8; FRAME_LEN];
-    match msg {
-        DagMessage::Request { from: link, origin } => {
-            debug_assert_eq!(*link, from);
-            frame[0] = TAG_REQUEST;
-            frame[1..5].copy_from_slice(&from.0.to_le_bytes());
-            frame[5..9].copy_from_slice(&origin.0.to_le_bytes());
-        }
-        DagMessage::Privilege => {
-            frame[0] = TAG_PRIVILEGE;
-            frame[1..5].copy_from_slice(&from.0.to_le_bytes());
-        }
-        DagMessage::Initialize => unreachable!("TCP clusters start pre-oriented"),
-    }
-    frame
+/// What one frame carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Frame {
+    /// A keyed protocol message from `from`.
+    Net { from: NodeId, msg: KeyedDagMessage },
+    /// A Chandy–Lamport marker from `from`.
+    Marker { from: NodeId },
 }
 
-fn decode(frame: &[u8; FRAME_LEN]) -> io::Result<(NodeId, DagMessage)> {
-    let from = NodeId(u32::from_le_bytes(frame[1..5].try_into().expect("4 bytes")));
-    let origin = NodeId(u32::from_le_bytes(frame[5..9].try_into().expect("4 bytes")));
-    match frame[0] {
-        TAG_REQUEST => Ok((from, DagMessage::Request { from, origin })),
-        TAG_PRIVILEGE => Ok((from, DagMessage::Privilege)),
-        tag => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad frame tag {tag}"),
-        )),
+impl Frame {
+    /// Appends the frame's 13 bytes to `buf`.
+    fn encode(self, buf: &mut Vec<u8>) {
+        let (tag, from, origin, key) = match self {
+            Frame::Net { from, msg } => match msg.msg {
+                DagMessage::Request { from: link, origin } => {
+                    debug_assert_eq!(link, from, "REQUEST's X field is the wire sender");
+                    (TAG_REQUEST, from, origin, msg.lock)
+                }
+                DagMessage::Privilege => (TAG_PRIVILEGE, from, NodeId(0), msg.lock),
+                DagMessage::Initialize => unreachable!("TCP clusters start pre-oriented"),
+            },
+            Frame::Marker { from } => (TAG_MARKER, from, NodeId(0), LockId(0)),
+        };
+        buf.push(tag);
+        buf.extend_from_slice(&from.0.to_le_bytes());
+        buf.extend_from_slice(&origin.0.to_le_bytes());
+        buf.extend_from_slice(&key.0.to_le_bytes());
+    }
+
+    /// Decodes a frame arriving at node `me` of an `n`-node cluster
+    /// serving `keys` keys.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] for an unknown tag, a sender or
+    /// origin outside `0..n`, a sender equal to `me`, or a key outside
+    /// `0..keys`.
+    fn decode(frame: &[u8; FRAME_LEN], me: NodeId, n: usize, keys: u32) -> io::Result<Frame> {
+        let field = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().expect("4 bytes"));
+        let (from, origin, key) = (NodeId(field(1)), NodeId(field(5)), LockId(field(9)));
+        let invalid = |what: String| Err(io::Error::new(io::ErrorKind::InvalidData, what));
+        if from.index() >= n || origin.index() >= n {
+            return invalid(format!("frame names {from}/{origin} in a {n}-node cluster"));
+        }
+        if from == me {
+            return invalid(format!("frame from {from} to itself"));
+        }
+        if key.0 >= keys {
+            return invalid(format!("frame names {key} of {keys} keys"));
+        }
+        let msg = match frame[0] {
+            TAG_REQUEST => DagMessage::Request { from, origin },
+            TAG_PRIVILEGE => DagMessage::Privilege,
+            TAG_MARKER => return Ok(Frame::Marker { from }),
+            tag => return invalid(format!("bad frame tag {tag}")),
+        };
+        Ok(Frame::Net {
+            from,
+            msg: KeyedDagMessage { lock: key, msg },
+        })
+    }
+
+    /// The shard input the frame delivers.
+    fn into_input(self) -> Input {
+        match self {
+            Frame::Net { from, msg } => Input::Net {
+                from,
+                envelope: Envelope::One(msg),
+            },
+            Frame::Marker { from } => Input::Marker { from },
+        }
+    }
+}
+
+/// A shard's socket wire: one lazily connected stream to every peer's
+/// listener, owned by the shard thread alone.
+struct Sockets {
+    addrs: Arc<[SocketAddr]>,
+    streams: Vec<Option<TcpStream>>,
+    /// Encoding buffer, reused across sends.
+    buf: Vec<u8>,
+}
+
+impl Sockets {
+    /// Writes the encoded buffer to `to` in one write, connecting
+    /// lazily and retrying once on a stale cached stream.
+    fn write(&mut self, to: NodeId) {
+        let slot = &mut self.streams[to.index()];
+        for _ in 0..2 {
+            if slot.is_none() {
+                match TcpStream::connect(self.addrs[to.index()]) {
+                    Ok(stream) => {
+                        let _ = stream.set_nodelay(true);
+                        *slot = Some(stream);
+                    }
+                    Err(_) => return, // peer gone: shutdown in progress
+                }
+            }
+            if slot
+                .as_mut()
+                .is_some_and(|s| s.write_all(&self.buf).is_ok())
+            {
+                return;
+            }
+            *slot = None;
+        }
+    }
+}
+
+impl Wire for Sockets {
+    fn send(&mut self, from: NodeId, to: NodeId, envelope: Envelope) {
+        self.buf.clear();
+        match envelope {
+            Envelope::One(msg) => Frame::Net { from, msg }.encode(&mut self.buf),
+            // One key flushed every input never forms a batch, so its
+            // buffer is dropped rather than pooled.
+            Envelope::Batch(batch) => {
+                for msg in batch {
+                    Frame::Net { from, msg }.encode(&mut self.buf);
+                }
+            }
+        }
+        self.write(to);
+    }
+
+    fn marker(&mut self, from: NodeId, to: NodeId) {
+        self.buf.clear();
+        Frame::Marker { from }.encode(&mut self.buf);
+        self.write(to);
     }
 }
 
 /// A running cluster whose nodes exchange the paper's messages over
-/// loopback TCP. API mirrors [`Cluster`](crate::Cluster): the same
-/// [`LockClient`] with the same try/timeout/deadline machinery, since
-/// both runtimes share one node loop (and therefore one pending/abandon
-/// state machine).
+/// loopback TCP. It runs the [`LockSpaceCluster`] node loop with one
+/// key — one shard thread per node, flushing after every input — so it
+/// hands out the same [`LockClient`] with the same try/timeout/deadline
+/// machinery, returns the same [`LockSpaceStats`], and takes the same
+/// consistent [`snapshot`](TcpCluster::snapshot)s. Dropping the cluster
+/// stops its threads and listeners.
 ///
 /// # Examples
 ///
@@ -90,23 +204,44 @@ fn decode(frame: &[u8; FRAME_LEN]) -> io::Result<(NodeId, DagMessage)> {
 /// {
 ///     let _guard = clients[2].lock(LockId(0)).wait().expect("cluster running");
 /// }
+/// assert!(cluster.snapshot().verify().is_ok());
 /// let stats = cluster.shutdown();
 /// assert_eq!(stats.entries, 1);
 /// # Ok::<(), std::io::Error>(())
 /// ```
 #[derive(Debug)]
 pub struct TcpCluster {
-    txs: Vec<Sender<Input>>,
-    node_joins: Vec<JoinHandle<NodeStats>>,
-    accept_joins: Vec<JoinHandle<()>>,
-    addrs: Vec<SocketAddr>,
+    /// The node threads. Declared first, so a drop stops them before
+    /// the listeners.
+    space: LockSpaceCluster,
+    listeners: Listeners,
+}
+
+/// The accept loops, stopped on drop.
+#[derive(Debug)]
+struct Listeners {
+    addrs: Arc<[SocketAddr]>,
     stop: Arc<AtomicBool>,
+    joins: Vec<JoinHandle<()>>,
+}
+
+impl Drop for Listeners {
+    fn drop(&mut self) {
+        // Unblock the accept loops with one dummy connection each.
+        self.stop.store(true, Ordering::SeqCst);
+        for addr in self.addrs.iter() {
+            let _ = TcpStream::connect(addr);
+        }
+        for j in self.joins.drain(..) {
+            let _ = j.join();
+        }
+    }
 }
 
 impl TcpCluster {
     /// Binds one loopback listener per node, spawns the node threads,
     /// and returns the cluster plus one [`LockClient`] per node. The
-    /// single lock is `LockId(0)`.
+    /// single lock is `LockId(0)`, its token initially at `holder`.
     ///
     /// # Errors
     ///
@@ -117,83 +252,43 @@ impl TcpCluster {
     /// Panics if `holder` is out of range.
     pub fn start(tree: &Tree, holder: NodeId) -> io::Result<(TcpCluster, Vec<LockClient>)> {
         let n = tree.len();
-        assert!(holder.index() < n, "holder out of range");
-        let seeds = single_key_seeds(tree, holder);
-        let stop = Arc::new(AtomicBool::new(false));
-
         // Bind all listeners first so every address is known before any
         // node starts sending.
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(listener.local_addr()?);
-            listeners.push(listener);
-        }
+        let listeners = (0..n)
+            .map(|_| TcpListener::bind("127.0.0.1:0"))
+            .collect::<io::Result<Vec<_>>>()?;
+        let addrs = listeners
+            .iter()
+            .map(TcpListener::local_addr)
+            .collect::<io::Result<Arc<[SocketAddr]>>>()?;
 
-        let channels: Vec<_> = (0..n).map(|_| unbounded::<Input>()).collect();
-        let txs: Vec<Sender<Input>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
+        let config = LockSpaceClusterConfig {
+            keys: KEYS,
+            placement: Placement::Hub(holder),
+            workers: 1,
+            flush: FlushPolicy::EveryTick,
+        };
+        let (space, clients) = LockSpaceCluster::spawn(tree, config, |_, _| Sockets {
+            addrs: Arc::clone(&addrs),
+            streams: (0..n).map(|_| None).collect(),
+            buf: Vec::with_capacity(FRAME_LEN),
+        });
 
         // Accept loops: every inbound connection gets a reader thread
-        // that decodes frames into the node's input channel.
-        let mut accept_joins = Vec::with_capacity(n);
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let tx = txs[i].clone();
-            let stop = Arc::clone(&stop);
-            accept_joins.push(std::thread::spawn(move || accept_loop(listener, tx, stop)));
-        }
-
-        // Node threads: sends go over cached outgoing connections.
-        let mut node_joins = Vec::with_capacity(n);
-        for (i, (_, rx)) in channels.into_iter().enumerate() {
-            let me = NodeId::from_index(i);
-            let seeds = seeds.clone();
-            let peers = addrs.clone();
-            let outgoing: Arc<Mutex<Vec<Option<TcpStream>>>> =
-                Arc::new(Mutex::new((0..n).map(|_| None).collect()));
-            let transmit = move |to: NodeId, from: NodeId, msg: DagMessage| {
-                let frame = encode(from, &msg);
-                let mut slots = outgoing.lock();
-                // Lazily connect, retrying once on a stale cached stream.
-                for attempt in 0..2 {
-                    if slots[to.index()].is_none() {
-                        match TcpStream::connect(peers[to.index()]) {
-                            Ok(stream) => {
-                                let _ = stream.set_nodelay(true);
-                                slots[to.index()] = Some(stream);
-                            }
-                            Err(_) => return, // peer gone: shutdown in progress
-                        }
-                    }
-                    let ok = slots[to.index()]
-                        .as_mut()
-                        .map(|s| s.write_all(&frame).is_ok())
-                        .unwrap_or(false);
-                    if ok {
-                        return;
-                    }
-                    slots[to.index()] = None;
-                    let _ = attempt;
-                }
-            };
-            node_joins.push(std::thread::spawn(move || {
-                node_main(me, seeds, rx, transmit)
-            }));
-        }
-
-        let clients = (0..n)
-            .map(|i| make_client(NodeId::from_index(i), txs[i].clone()))
+        // that decodes frames into the node's inbox.
+        let stop = Arc::new(AtomicBool::new(false));
+        let joins = listeners
+            .into_iter()
+            .zip(space.inboxes())
+            .enumerate()
+            .map(|(i, (listener, inbox))| {
+                let (inbox, stop) = (inbox.clone(), Arc::clone(&stop));
+                let me = NodeId::from_index(i);
+                std::thread::spawn(move || accept_loop(listener, me, n, inbox, stop))
+            })
             .collect();
-        Ok((
-            TcpCluster {
-                txs,
-                node_joins,
-                accept_joins,
-                addrs,
-                stop,
-            },
-            clients,
-        ))
+        let listeners = Listeners { addrs, stop, joins };
+        Ok((TcpCluster { space, listeners }, clients))
     }
 
     /// The loopback address node `node` listens on.
@@ -202,79 +297,84 @@ impl TcpCluster {
     ///
     /// Panics if `node` is out of range.
     pub fn addr(&self, node: NodeId) -> SocketAddr {
-        self.addrs[node.index()]
+        self.listeners.addrs[node.index()]
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.txs.len()
+        self.space.len()
     }
 
     /// `true` for a cluster with no nodes — consistent with
     /// [`TcpCluster::len`].
     pub fn is_empty(&self) -> bool {
-        self.txs.is_empty()
+        self.space.is_empty()
+    }
+
+    /// Captures a consistent cut of the running cluster without pausing
+    /// it; markers travel on the sockets behind each peer's data (see
+    /// [`LockSpaceCluster::snapshot`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node thread has died (panicked) before or during the
+    /// cut.
+    pub fn snapshot(&self) -> LockSpaceSnapshot {
+        self.space.snapshot()
     }
 
     /// Stops node threads and listeners, returning aggregated counters.
-    pub fn shutdown(self) -> ClusterStats {
-        for tx in &self.txs {
-            let _ = tx.send(Input::Shutdown);
-        }
-        let per_node: Vec<NodeStats> = self
-            .node_joins
-            .into_iter()
-            .map(|j| j.join().expect("node thread panicked"))
-            .collect();
-        // Unblock the accept loops with one dummy connection each.
-        self.stop.store(true, Ordering::SeqCst);
-        for addr in &self.addrs {
-            let _ = TcpStream::connect(addr);
-        }
-        for j in self.accept_joins {
-            let _ = j.join();
-        }
-        ClusterStats::from_nodes(per_node)
+    pub fn shutdown(self) -> LockSpaceStats {
+        self.space.shutdown()
     }
 }
 
 impl LockService for TcpCluster {
-    type Stats = ClusterStats;
-
     fn len(&self) -> usize {
         TcpCluster::len(self)
     }
 
     fn keys(&self) -> u32 {
-        1
+        KEYS
     }
 
-    fn shutdown(self) -> ClusterStats {
+    fn snapshot(&self) -> LockSpaceSnapshot {
+        TcpCluster::snapshot(self)
+    }
+
+    fn shutdown(self) -> LockSpaceStats {
         TcpCluster::shutdown(self)
     }
 }
 
-fn accept_loop(listener: TcpListener, tx: Sender<Input>, stop: Arc<AtomicBool>) {
+fn accept_loop(
+    listener: TcpListener,
+    me: NodeId,
+    n: usize,
+    inbox: Sender<Input>,
+    stop: Arc<AtomicBool>,
+) {
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { break };
-        let tx = tx.clone();
-        std::thread::spawn(move || reader_loop(stream, tx));
+        let inbox = inbox.clone();
+        std::thread::spawn(move || reader_loop(stream, me, n, inbox));
     }
 }
 
-fn reader_loop(mut stream: TcpStream, tx: Sender<Input>) {
+fn reader_loop(mut stream: TcpStream, me: NodeId, n: usize, inbox: Sender<Input>) {
     let mut frame = [0u8; FRAME_LEN];
     loop {
         if stream.read_exact(&mut frame).is_err() {
             return; // peer closed: normal during shutdown
         }
-        let Ok((from, msg)) = decode(&frame) else {
+        // A malformed frame drops the connection.
+        let Ok(frame) = Frame::decode(&frame, me, n, KEYS) else {
             return;
         };
-        if tx.send(Input::Net { from, msg }).is_err() {
+        if inbox.send(frame.into_input()).is_err() {
             return; // node thread gone
         }
     }
@@ -283,22 +383,93 @@ fn reader_loop(mut stream: TcpStream, tx: Sender<Input>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmx_core::LockId;
+    use crate::LockError;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::Duration;
+
+    fn frame(from: NodeId, lock: u32, msg: DagMessage) -> Frame {
+        Frame::Net {
+            from,
+            msg: KeyedDagMessage {
+                lock: LockId(lock),
+                msg,
+            },
+        }
+    }
+
+    fn bytes(frame: Frame) -> [u8; FRAME_LEN] {
+        let mut buf = Vec::new();
+        frame.encode(&mut buf);
+        buf.try_into().expect("one frame")
+    }
 
     #[test]
     fn frame_round_trip() {
-        let req = DagMessage::Request {
-            from: NodeId(3),
-            origin: NodeId(250),
-        };
-        let frame = encode(NodeId(3), &req);
-        assert_eq!(decode(&frame).unwrap(), (NodeId(3), req));
-        let frame = encode(NodeId(7), &DagMessage::Privilege);
-        assert_eq!(decode(&frame).unwrap(), (NodeId(7), DagMessage::Privilege));
-        let mut bad = [0u8; FRAME_LEN];
+        let req = frame(
+            NodeId(3),
+            5,
+            DagMessage::Request {
+                from: NodeId(3),
+                origin: NodeId(250),
+            },
+        );
+        let privilege = frame(NodeId(7), 9, DagMessage::Privilege);
+        let marker = Frame::Marker { from: NodeId(2) };
+        for f in [req, privilege, marker] {
+            assert_eq!(Frame::decode(&bytes(f), NodeId(0), 256, 10).unwrap(), f);
+        }
+        let mut bad = bytes(marker);
         bad[0] = 9;
-        assert!(decode(&bad).is_err());
+        assert!(Frame::decode(&bad, NodeId(0), 256, 10).is_err());
+    }
+
+    #[test]
+    fn malformed_frames_drop_their_connection_not_the_node() {
+        let (cluster, mut clients) = TcpCluster::start(&Tree::line(3), NodeId(0)).unwrap();
+        let req = |from: u32, origin: u32, lock: u32| {
+            let from = NodeId(from);
+            let msg = DagMessage::Request {
+                from,
+                origin: NodeId(origin),
+            };
+            bytes(frame(from, lock, msg))
+        };
+        let mut bad_tag = req(0, 0, 0);
+        bad_tag[0] = 7;
+        // One bad field per frame: tag, sender, origin, key, and a
+        // sender posing as the receiving node itself.
+        let bad = [
+            bad_tag,
+            req(9, 0, 0),
+            req(0, 9, 0),
+            req(0, 0, 4),
+            req(1, 0, 0),
+        ];
+        for frame in bad {
+            let mut stream = TcpStream::connect(cluster.addr(NodeId(1))).unwrap();
+            stream.write_all(&frame).unwrap();
+            // The node drops the connection: the read sees EOF (or a
+            // reset) rather than timing out.
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            match stream.read(&mut [0u8; 1]) {
+                Ok(0) => {}
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+                other => panic!("malformed frame kept its connection: {other:?}"),
+            }
+        }
+        // Node 1 relays node 2's request: the cluster still grants.
+        drop(
+            clients[2]
+                .lock(LockId(0))
+                .timeout(Duration::from_secs(5))
+                .unwrap(),
+        );
+        drop(clients);
+        let stats = cluster.shutdown();
+        assert_eq!(stats.entries, 1);
+        assert_eq!(stats.messages_total, 3);
     }
 
     #[test]
@@ -330,13 +501,13 @@ mod tests {
     fn mutual_exclusion_under_tcp_contention() {
         let n = 4;
         let (cluster, clients) = TcpCluster::start(&Tree::star(n), NodeId(0)).unwrap();
-        let inside = std::sync::Arc::new(AtomicBool::new(false));
-        let tally = std::sync::Arc::new(AtomicU64::new(0));
+        let inside = Arc::new(AtomicBool::new(false));
+        let tally = Arc::new(AtomicU64::new(0));
         let workers: Vec<_> = clients
             .into_iter()
             .map(|mut c| {
-                let inside = std::sync::Arc::clone(&inside);
-                let tally = std::sync::Arc::clone(&tally);
+                let inside = Arc::clone(&inside);
+                let tally = Arc::clone(&tally);
                 std::thread::spawn(move || {
                     for _ in 0..10 {
                         let guard = c.lock(LockId(0)).wait().unwrap();
@@ -367,7 +538,7 @@ mod tests {
         }
         let tcp_stats = tcp.shutdown();
 
-        let (chan, mut ch) = crate::Cluster::start(&tree, NodeId(2));
+        let (chan, mut ch) = LockSpaceCluster::start(&tree, 1, Placement::Hub(NodeId(2)));
         for &node in &sequence {
             drop(ch[node.index()].lock(LockId(0)).wait().unwrap());
         }
@@ -386,5 +557,15 @@ mod tests {
         assert_eq!(ports.len(), 3);
         drop(clients);
         cluster.shutdown();
+    }
+
+    #[test]
+    fn dropping_the_tcp_cluster_stops_its_threads() {
+        let (cluster, mut clients) = TcpCluster::start(&Tree::line(2), NodeId(0)).unwrap();
+        drop(cluster);
+        assert_eq!(
+            clients[1].lock(LockId(0)).wait().unwrap_err(),
+            LockError::ClusterDown
+        );
     }
 }

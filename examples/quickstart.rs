@@ -11,7 +11,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dagmutex::core::LockId;
-use dagmutex::runtime::Cluster;
+use dagmutex::lockspace::Placement;
+use dagmutex::runtime::LockSpaceCluster;
 use dagmutex::topology::{NodeId, Tree};
 
 fn main() {
@@ -22,7 +23,9 @@ fn main() {
         tree.diameter()
     );
 
-    let (cluster, clients) = Cluster::start(&tree, NodeId(0));
+    // One lock whose token starts at node 0: the paper's initial
+    // configuration.
+    let (cluster, clients) = LockSpaceCluster::start(&tree, 1, Placement::Hub(NodeId(0)));
 
     let tally = Arc::new(AtomicU64::new(0));
     let inside = Arc::new(AtomicBool::new(false));

@@ -1,10 +1,10 @@
 //! The distributed lock over real TCP sockets on loopback.
 //!
-//! Same algorithm, same state machine as the in-process runtime — but
-//! every REQUEST and PRIVILEGE actually crosses a socket as the 9-byte
-//! frame documented in `dmx_runtime::tcp`. TCP supplies exactly the
-//! reliability and per-connection FIFO ordering the paper's network
-//! model assumes.
+//! Same algorithm, same node loop as the in-process runtime — but
+//! every REQUEST and PRIVILEGE actually crosses a socket as the 13-byte
+//! keyed frame documented in `dmx_runtime::tcp`. TCP supplies exactly
+//! the reliability and per-connection FIFO ordering the paper's network
+//! model assumes, so a consistent snapshot works over it too.
 //!
 //! Run with: `cargo run --example tcp_lock`
 
@@ -51,6 +51,14 @@ fn main() -> std::io::Result<()> {
     }
 
     let elapsed = started.elapsed();
+    let summary = cluster
+        .snapshot()
+        .verify()
+        .expect("the cut over sockets is consistent");
+    println!(
+        "snapshot           : {} privilege in tables, {} in flight",
+        summary.tokens_in_tables, summary.privileges_in_flight
+    );
     let stats = cluster.shutdown();
     println!("entries            : {}", stats.entries);
     println!("protocol messages  : {}", stats.messages_total);

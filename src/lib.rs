@@ -20,12 +20,12 @@
 //! * [`lockspace`] — the sharded multi-lock service: thousands of
 //!   independent DAG-protocol locks multiplexed over one network, with
 //!   per-destination batching ([`lockspace::LockSpace`]).
-//! * [`runtime`] — the distributed lock over threads + channels
-//!   ([`runtime::Cluster`]), loopback TCP ([`runtime::tcp::TcpCluster`]),
-//!   or sharded multi-key threads ([`runtime::LockSpaceCluster`]) — all
-//!   behind one [`runtime::LockService`] API: RAII guards,
-//!   `try_now`/`timeout`/`deadline` request shaping, and deadlock-free
-//!   multi-key `lock_many`.
+//! * [`runtime`] — the distributed lock over sharded threads + channels
+//!   ([`runtime::LockSpaceCluster`], one key or many) or loopback TCP
+//!   ([`runtime::tcp::TcpCluster`], one key) — both running one node
+//!   loop behind one [`runtime::LockService`] API: RAII guards,
+//!   `try_now`/`timeout`/`deadline` request shaping, deadlock-free
+//!   multi-key `lock_many`, and live consistent snapshots.
 //! * [`harness`] — the per-table experiment drivers.
 //!
 //! Extras beyond the paper: Graphviz rendering of live protocol state
@@ -35,14 +35,17 @@
 //!
 //! # Quickstart
 //!
-//! Take the distributed lock on a 5-node star:
+//! Take the distributed lock on a 5-node star — one key, its token
+//! initially at node 0:
 //!
 //! ```
 //! use dagmutex::core::LockId;
-//! use dagmutex::runtime::Cluster;
+//! use dagmutex::lockspace::Placement;
+//! use dagmutex::runtime::LockSpaceCluster;
 //! use dagmutex::topology::{NodeId, Tree};
 //!
-//! let (cluster, mut clients) = Cluster::start(&Tree::star(5), NodeId(0));
+//! let (cluster, mut clients) =
+//!     LockSpaceCluster::start(&Tree::star(5), 1, Placement::Hub(NodeId(0)));
 //! {
 //!     let _guard = clients[3].lock(LockId(0)).wait()?;
 //!     // critical section: the token (PRIVILEGE) is at node 3

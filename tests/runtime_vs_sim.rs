@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use dagmutex::core::{DagProtocol, LockId};
 use dagmutex::lockspace::{Placement, ScriptedClient, SessionConfig};
-use dagmutex::runtime::{run_script, Cluster, LockService, LockSpaceCluster};
+use dagmutex::runtime::{run_script, LockSpaceCluster};
 use dagmutex::simnet::{Engine, EngineConfig, Time};
 use dagmutex::topology::{NodeId, Tree};
 use dagmutex::workload::{Outcome, Script};
@@ -26,7 +26,7 @@ fn compare_on(tree: &Tree, holder: NodeId, sequence: &[NodeId]) {
     let report = engine.run_to_quiescence().expect("simulated run completes");
 
     // Threaded runtime: lock/unlock strictly in order from this thread.
-    let (cluster, mut clients) = Cluster::start(tree, holder);
+    let (cluster, mut clients) = LockSpaceCluster::start(tree, 1, Placement::Hub(holder));
     for &node in sequence {
         let guard = clients[node.index()]
             .lock(LockId(0))
@@ -85,7 +85,7 @@ fn concurrent_runtime_matches_simulator_entry_count() {
     // Under true concurrency exact message counts depend on scheduling,
     // but the entry count and the ≤ (D+1) per-entry average must hold.
     let tree = Tree::star(8);
-    let (cluster, clients) = Cluster::start(&tree, NodeId(0));
+    let (cluster, clients) = LockSpaceCluster::start(&tree, 1, Placement::Hub(NodeId(0)));
     let per_node = 25u64;
     let workers: Vec<_> = clients
         .into_iter()
@@ -274,8 +274,7 @@ fn scripted_session_parity_on_multi_key_acquisition() {
 #[test]
 fn scripted_session_parity_on_single_lock_backends() {
     // The same script on the single-lock substrates: simulated session
-    // with one key vs the channel cluster vs TCP. (The lock-space
-    // backend is covered by every other parity test.)
+    // with one key vs the one-key channel cluster vs TCP.
     let tree = Tree::line(3);
     let script = Script::new()
         .lock(NodeId(2), LockId(0))
@@ -298,7 +297,7 @@ fn scripted_session_parity_on_single_lock_backends() {
         .expect("simulated session completes");
     let simulated = monitor.finish().expect("per-key safety holds");
 
-    let (cluster, mut clients) = Cluster::start(&tree, NodeId(0));
+    let (cluster, mut clients) = LockSpaceCluster::start(&tree, 1, Placement::Hub(NodeId(0)));
     assert_eq!(cluster.keys(), 1);
     let channel = run_script(&mut clients, &script, TICK);
     drop(clients);

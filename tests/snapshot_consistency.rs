@@ -1,7 +1,8 @@
 //! Storm-time consistency of Chandy–Lamport cuts.
 //!
-//! Property: a [`LockSpaceCluster::snapshot`] taken while client
-//! threads hammer the space is a *consistent* global state — every key
+//! Property: a [`LockService::snapshot`] taken while client threads
+//! hammer the space — on a [`LockSpaceCluster`] over channels or a
+//! [`TcpCluster`] over sockets — is a *consistent* global state — every key
 //! shows exactly one privilege across node tables, staged transports,
 //! and per-channel recordings (plus the implicit token of an untouched
 //! hub), and the recordings themselves respect the marker protocol (a
@@ -12,34 +13,29 @@
 //! [`LockSpaceSnapshot::verify`], so the oracle and the protocol cannot
 //! share a blind spot.
 //!
-//! [`LockSpaceCluster::snapshot`]: dmx_runtime::LockSpaceCluster::snapshot
+//! [`LockService::snapshot`]: dmx_runtime::LockService::snapshot
+//! [`LockSpaceCluster`]: dmx_runtime::LockSpaceCluster
+//! [`TcpCluster`]: dmx_runtime::tcp::TcpCluster
 //! [`LockSpaceSnapshot::verify`]: dmx_runtime::LockSpaceSnapshot::verify
 
 use dmx_core::{DagMessage, LockId};
 use dmx_lockspace::{FlushPolicy, Placement};
-use dmx_runtime::{LockSpaceCluster, LockSpaceClusterConfig};
-use dmx_topology::Tree;
+use dmx_runtime::tcp::TcpCluster;
+use dmx_runtime::{LockClient, LockService, LockSpaceCluster, LockSpaceClusterConfig};
+use dmx_topology::{NodeId, Tree};
 use proptest::prelude::*;
 
-/// Runs `rounds` lock/unlock cycles per node while the main thread
-/// captures `snapshots` cuts, checking each one.
+/// Runs `rounds` lock/unlock cycles per node of a running `cluster`,
+/// whose keys start at `placement`, while the main thread captures
+/// `snapshots` cuts, checking each one.
 fn storm_with_snapshots(
-    tree: &Tree,
-    keys: u32,
-    workers: usize,
-    flush: FlushPolicy,
+    cluster: impl LockService,
+    clients: Vec<LockClient>,
+    placement: Placement,
     rounds: u32,
     snapshots: usize,
 ) -> Result<(), TestCaseError> {
-    let placement = Placement::Modulo;
-    let config = LockSpaceClusterConfig {
-        keys,
-        placement: placement.clone(),
-        workers,
-        flush,
-    };
-    let (cluster, clients) = LockSpaceCluster::start_with(tree, config);
-    let n = cluster.len();
+    let (n, keys) = (cluster.len(), cluster.keys());
     let mut threads = Vec::new();
     for (i, mut client) in clients.into_iter().enumerate() {
         threads.push(std::thread::spawn(move || {
@@ -114,19 +110,29 @@ proptest! {
         window in 1u64..5,
         rounds in 4u32..24,
         snapshots in 1usize..4,
+        over_tcp in any::<bool>(),
     ) {
         let tree = match shape {
             0 => Tree::star(n),
             1 => Tree::line(n),
             _ => Tree::kary(n, 2),
         };
-        storm_with_snapshots(
-            &tree,
-            keys,
-            workers,
-            FlushPolicy::Window(window),
-            rounds,
-            snapshots,
-        )?;
+        if over_tcp {
+            // One key, its token at the last node; markers share each
+            // connection with the data it carries.
+            let holder = NodeId::from_index(n - 1);
+            let (cluster, clients) =
+                TcpCluster::start(&tree, holder).expect("loopback listeners bind");
+            storm_with_snapshots(cluster, clients, Placement::Hub(holder), rounds, snapshots)?;
+        } else {
+            let config = LockSpaceClusterConfig {
+                keys,
+                placement: Placement::Modulo,
+                workers,
+                flush: FlushPolicy::Window(window),
+            };
+            let (cluster, clients) = LockSpaceCluster::start_with(&tree, config.clone());
+            storm_with_snapshots(cluster, clients, config.placement, rounds, snapshots)?;
+        }
     }
 }
