@@ -36,41 +36,11 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// The coalescing-window lane: one `EveryTick` baseline plus one
-/// `Window(16)` cell at 4096 keys, so the BENCH_SMOKE CI run exercises
-/// the transport's window path (and its envelope savings) on every
-/// push.
-fn bench_window(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lock_scaling/window");
-    group.sample_size(10);
-    for window in [1u64, 16] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("keys4096@127/w{window}")),
-            &window,
-            |b, &window| {
-                b.iter(|| {
-                    lock_scaling::measure_window(
-                        black_box(127),
-                        4_096,
-                        "uniform",
-                        dmx_workload::KeyDist::Uniform,
-                        20,
-                        dmx_simnet::Scheduler::Auto,
-                        window,
-                        lock_scaling::WINDOW_STAGGER,
-                    )
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench, bench_window
+    targets = bench
 }
 criterion_main!(benches);

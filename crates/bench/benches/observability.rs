@@ -13,7 +13,7 @@
 //! mode); the guard assertion runs in both modes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmx_lockspace::{FlushPolicy, LockSpace, LockSpaceConfig, Placement};
+use dmx_lockspace::{LockSpace, LockSpaceConfig, Placement};
 use dmx_simnet::{Engine, EngineConfig, LatencyModel, Scheduler, Time};
 use dmx_topology::Tree;
 use dmx_workload::{KeyDist, KeyedThinkTime};
@@ -38,7 +38,6 @@ fn run_cell(trace_paths: bool, rounds: u32) -> (u64, f64) {
         placement: Placement::Modulo,
         hold: Time(1),
         batching: true,
-        flush: FlushPolicy::EveryTick,
         trace_paths,
         ..LockSpaceConfig::default()
     };

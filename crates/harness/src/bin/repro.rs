@@ -25,10 +25,6 @@ const EXPERIMENTS: &[(&str, &str)] = &[
         "extension: lock-space scaling (keys × skew × n)",
     ),
     (
-        "ext_window",
-        "extension: coalescing-window sweep (window × keys × n)",
-    ),
-    (
         "ext_skew",
         "extension: hub placement × skew × locality vs a quorum baseline",
     ),
@@ -120,10 +116,6 @@ fn run_one(id: &str) -> bool {
         "ext_lock" => println!(
             "{}",
             experiments::lock_scaling::run(&[15, 127], &[1, 64, 4096], 12)
-        ),
-        "ext_window" => println!(
-            "{}",
-            experiments::lock_scaling::run_windows(&[15, 127], &[64, 4096], 12)
         ),
         "ext_skew" => println!("{}", experiments::skew::run(127, &[64], 12)),
         "ext_par" => println!("{}", experiments::parallel_scaling::run(127, 1024, 6)),

@@ -9,51 +9,18 @@
 //! system can never exhibit. Per-key safety and liveness are verified on
 //! every cell by the keyed oracles.
 //!
-//! The companion `ext_window` sweep ([`run_windows`]) walks the
-//! transport layer's coalescing window (`FlushPolicy::Window`) instead:
-//! window × keys × n under one fixed workload, reporting envelopes and
-//! mean wait side by side — the latency-vs-envelope-count tradeoff the
-//! transport makes measurable.
-//!
 //! The `repro -- bench` subcommand additionally times a fixed subset of
 //! cells (`bench_suite`) and serializes them as the `multi_key` section
 //! of `BENCH_CURRENT.json`.
 
 use std::time::Instant;
 
-use dmx_lockspace::{FlushPolicy, LockSpace, LockSpaceConfig, LockSpaceMonitor, Placement};
+use dmx_lockspace::{LockSpace, LockSpaceConfig, LockSpaceMonitor, Placement};
 use dmx_simnet::{Engine, EngineConfig, LatencyModel, Scheduler, Time};
 use dmx_topology::Tree;
 use dmx_workload::{KeyDist, KeyedThinkTime};
 
 use crate::Table;
-
-/// Coalescing windows the sweep walks (1 tick ≡ `EveryTick`).
-pub const WINDOWS: [u64; 3] = [1, 4, 16];
-
-/// Per-node start stagger the window cells use: spreading the initial
-/// burst over a few ticks is the demand shape coalescing windows exist
-/// for, and every cell of a comparison uses the same stagger so the
-/// windows — not the workload — are what differs.
-pub const WINDOW_STAGGER: u64 = 4;
-
-/// Seed occupancy target for the adaptive cells (learned away by the
-/// EWMA from the first flush on).
-pub const ADAPTIVE_TARGET: f64 = 2.0;
-
-/// `max_window` cap for the adaptive cells — the widest static window
-/// of the sweep, so adaptive can only win by flushing *earlier* when
-/// batches are already fat.
-pub const ADAPTIVE_CAP: u64 = 16;
-
-/// The flush policy for a window of `w` ticks (1 ≡ end-of-tick).
-pub fn flush_for_window(w: u64) -> FlushPolicy {
-    if w <= 1 {
-        FlushPolicy::EveryTick
-    } else {
-        FlushPolicy::Window(w)
-    }
-}
 
 /// Skews the sweep walks, with stable table labels.
 pub const SKEWS: [(&str, KeyDist); 2] = [
@@ -89,45 +56,13 @@ pub fn run_cell_with(
     seed: u64,
     scheduler: Scheduler,
 ) -> (Engine<dmx_lockspace::LockSpaceNode>, LockSpaceMonitor) {
-    run_cell_flush(
-        n,
-        keys,
-        dist,
-        rounds,
-        seed,
-        scheduler,
-        FlushPolicy::EveryTick,
-        1,
-    )
-}
-
-/// [`run_cell_with`] under an explicit transport [`FlushPolicy`] and
-/// per-node start stagger — the window-sweep kernel.
-///
-/// # Panics
-///
-/// Panics if the run violates per-key safety or liveness, or the flush
-/// policy is invalid.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_flush(
-    n: usize,
-    keys: u32,
-    dist: KeyDist,
-    rounds: u32,
-    seed: u64,
-    scheduler: Scheduler,
-    flush: FlushPolicy,
-    stagger: u64,
-) -> (Engine<dmx_lockspace::LockSpaceNode>, LockSpaceMonitor) {
     let tree = Tree::kary(n, 2);
-    let workload = KeyedThinkTime::new(keys, dist, LatencyModel::Fixed(Time(0)), rounds, seed)
-        .with_stagger(stagger);
+    let workload = KeyedThinkTime::new(keys, dist, LatencyModel::Fixed(Time(0)), rounds, seed);
     let config = LockSpaceConfig {
         keys,
         placement: Placement::Modulo,
         hold: Time(1),
         batching: true,
-        flush,
         ..LockSpaceConfig::default()
     };
     let (nodes, monitor) = LockSpace::cluster(&tree, config, &workload);
@@ -202,12 +137,6 @@ pub struct LockScalingMeasurement {
     pub skew: &'static str,
     /// Scheduler backend the cell ran under (`"heap"` / `"wheel"`).
     pub scheduler: &'static str,
-    /// Coalescing window in ticks (1 = end-of-tick flushing, the PR 2
-    /// behavior; wider windows trade latency for envelope count). For
-    /// the adaptive policy this is its `max_window` cap.
-    pub window: u64,
-    /// Flush-policy label (`"every-tick"` / `"window"` / `"adaptive"`).
-    pub flush: &'static str,
     /// Engine events processed (deliveries + wake-ups).
     pub events: u64,
     /// Keyed critical-section entries completed.
@@ -216,8 +145,7 @@ pub struct LockScalingMeasurement {
     pub keyed_messages: u64,
     /// Envelopes (post-batching deliveries) carried.
     pub envelopes: u64,
-    /// Mean request→grant wait in ticks (the latency side of the
-    /// window tradeoff).
+    /// Mean request→grant wait in ticks.
     pub mean_wait_ticks: f64,
     /// Median request→grant wait in ticks.
     pub p50_wait_ticks: u64,
@@ -282,93 +210,8 @@ pub fn measure_with(
     rounds: u32,
     scheduler: Scheduler,
 ) -> LockScalingMeasurement {
-    measure_window(n, keys, skew, dist, rounds, scheduler, 1, 1)
-}
-
-/// [`measure_with`] under an explicit coalescing window (in ticks; 1 ≡
-/// `EveryTick`) and per-node start stagger — the timed window-sweep
-/// cell.
-///
-/// # Panics
-///
-/// Panics if the run violates per-key safety or liveness.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_window(
-    n: usize,
-    keys: u32,
-    skew: &'static str,
-    dist: KeyDist,
-    rounds: u32,
-    scheduler: Scheduler,
-    window: u64,
-    stagger: u64,
-) -> LockScalingMeasurement {
-    let label = if window <= 1 { "every-tick" } else { "window" };
-    measure_flush(
-        n,
-        keys,
-        skew,
-        dist,
-        rounds,
-        scheduler,
-        flush_for_window(window),
-        label,
-        window,
-        stagger,
-    )
-}
-
-/// [`measure_window`] for the learning transport: `FlushPolicy::
-/// Adaptive` seeded at `target_per_dst` with a `max_window` cap. The
-/// measurement's `window` field records the cap.
-///
-/// # Panics
-///
-/// Panics if the run violates per-key safety or liveness.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_adaptive(
-    n: usize,
-    keys: u32,
-    skew: &'static str,
-    dist: KeyDist,
-    rounds: u32,
-    scheduler: Scheduler,
-    target_per_dst: f64,
-    max_window: u64,
-    stagger: u64,
-) -> LockScalingMeasurement {
-    measure_flush(
-        n,
-        keys,
-        skew,
-        dist,
-        rounds,
-        scheduler,
-        FlushPolicy::Adaptive {
-            target_per_dst,
-            max_window,
-        },
-        "adaptive",
-        max_window,
-        stagger,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn measure_flush(
-    n: usize,
-    keys: u32,
-    skew: &'static str,
-    dist: KeyDist,
-    rounds: u32,
-    scheduler: Scheduler,
-    flush: FlushPolicy,
-    flush_label: &'static str,
-    window: u64,
-    stagger: u64,
-) -> LockScalingMeasurement {
     let start = Instant::now();
-    let (engine, monitor) = run_cell_flush(n, keys, dist, rounds, 42, scheduler, flush, stagger);
+    let (engine, monitor) = run_cell_with(n, keys, dist, rounds, 42, scheduler);
     let elapsed_secs = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
     let m = engine.metrics();
     let events = m.requests + m.messages_total + m.cs_entries + m.wakes;
@@ -378,8 +221,6 @@ fn measure_flush(
         n,
         skew,
         scheduler: engine.sched_backend().name(),
-        window,
-        flush: flush_label,
         events,
         grants: rollup.grants,
         keyed_messages: rollup.messages,
@@ -391,78 +232,6 @@ fn measure_flush(
         max_wait_ticks: rollup.max_wait_ticks,
         elapsed_secs,
     }
-}
-
-/// The window sweep: `window ∈ {1, 4, 16} × keys ∈ key_counts × n ∈
-/// sizes`, all cells under the same staggered uniform workload so the
-/// coalescing window is the only thing that varies. Reports the
-/// latency-vs-envelope-count tradeoff the transport layer makes
-/// measurable: wider windows cut envelopes (and pay for it in mean
-/// wait).
-pub fn run_windows(sizes: &[usize], key_counts: &[u32], rounds: u32) -> Table {
-    let mut table = Table::new(
-        "ext_window — coalescing-window sweep (window × keys × n, per-key safety checked)",
-        &[
-            "n",
-            "keys",
-            "flush",
-            "grants",
-            "keyed msgs",
-            "envelopes",
-            "batch savings",
-            "mean wait",
-            "p50",
-            "p99",
-            "p999",
-        ],
-    );
-    let mut row = |m: &LockScalingMeasurement| {
-        table.row(&[
-            m.n.to_string(),
-            m.keys.to_string(),
-            if m.flush == "adaptive" {
-                format!("adaptive≤{}", m.window)
-            } else {
-                m.window.to_string()
-            },
-            m.grants.to_string(),
-            m.keyed_messages.to_string(),
-            m.envelopes.to_string(),
-            format!("{:.0}%", m.savings_pct()),
-            format!("{:.1}", m.mean_wait_ticks),
-            m.p50_wait_ticks.to_string(),
-            m.p99_wait_ticks.to_string(),
-            m.p999_wait_ticks.to_string(),
-        ]);
-    };
-    for &n in sizes {
-        for &keys in key_counts {
-            for window in WINDOWS {
-                row(&measure_window(
-                    n,
-                    keys,
-                    "uniform",
-                    KeyDist::Uniform,
-                    rounds,
-                    Scheduler::Auto,
-                    window,
-                    WINDOW_STAGGER,
-                ));
-            }
-            row(&measure_adaptive(
-                n,
-                keys,
-                "uniform",
-                KeyDist::Uniform,
-                rounds,
-                Scheduler::Auto,
-                ADAPTIVE_TARGET,
-                ADAPTIVE_CAP,
-                WINDOW_STAGGER,
-            ));
-        }
-    }
-    table
 }
 
 /// The `multi_key` bench cells: the keys ∈ {1, 64, 4096} ladder at
@@ -493,76 +262,6 @@ pub fn bench_suite() -> Vec<LockScalingMeasurement> {
             }
         }
     }
-    // The window sweep: coalescing window is the only thing that varies
-    // within one keys ladder rung (same staggered workload, Auto
-    // scheduler), so the envelope savings of Window(k) vs EveryTick are
-    // read straight off adjacent rows.
-    for (keys, rounds) in [(64u32, 1_000u32), (4_096, 200)] {
-        for window in WINDOWS {
-            let _warmup = measure_window(
-                127,
-                keys,
-                "uniform",
-                KeyDist::Uniform,
-                (rounds / 20).max(1),
-                Scheduler::Auto,
-                window,
-                WINDOW_STAGGER,
-            );
-            let m = measure_window(
-                127,
-                keys,
-                "uniform",
-                KeyDist::Uniform,
-                rounds,
-                Scheduler::Auto,
-                window,
-                WINDOW_STAGGER,
-            );
-            eprintln!(
-                "lock_scaling: keys={:<5} n=127 window={:<3} {:>6} {:>12.0} events/s \
-                 {:>7.0}% batched away, mean wait {:.1} (p50 {} p99 {} p999 {})",
-                m.keys,
-                m.window,
-                m.scheduler,
-                m.events_per_sec(),
-                m.savings_pct(),
-                m.mean_wait_ticks,
-                m.p50_wait_ticks,
-                m.p99_wait_ticks,
-                m.p999_wait_ticks
-            );
-            results.push(m);
-        }
-        // The learning transport on the same demand: starts at the seed
-        // target, converges to the observed occupancy, capped at the
-        // widest static window.
-        let m = measure_adaptive(
-            127,
-            keys,
-            "uniform",
-            KeyDist::Uniform,
-            rounds,
-            Scheduler::Auto,
-            ADAPTIVE_TARGET,
-            ADAPTIVE_CAP,
-            WINDOW_STAGGER,
-        );
-        eprintln!(
-            "lock_scaling: keys={:<5} n=127 adaptive≤{:<2} {:>6} {:>12.0} events/s \
-             {:>7.0}% batched away, mean wait {:.1} (p50 {} p99 {} p999 {})",
-            m.keys,
-            m.window,
-            m.scheduler,
-            m.events_per_sec(),
-            m.savings_pct(),
-            m.mean_wait_ticks,
-            m.p50_wait_ticks,
-            m.p99_wait_ticks,
-            m.p999_wait_ticks
-        );
-        results.push(m);
-    }
     results
 }
 
@@ -574,7 +273,7 @@ pub fn results_json(results: &[LockScalingMeasurement]) -> String {
     for (i, m) in results.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"keys\": {}, \"n\": {}, \"skew\": \"{}\", \
-             \"scheduler\": \"{}\", \"window\": {}, \"flush\": \"{}\", \"events\": {}, \
+             \"scheduler\": \"{}\", \"events\": {}, \
              \"grants\": {}, \"keyed_messages\": {}, \"envelopes\": {}, \
              \"mean_wait_ticks\": {:.2}, \"p50_wait_ticks\": {}, \
              \"p99_wait_ticks\": {}, \"p999_wait_ticks\": {}, \
@@ -585,8 +284,6 @@ pub fn results_json(results: &[LockScalingMeasurement]) -> String {
             m.n,
             m.skew,
             m.scheduler,
-            m.window,
-            m.flush,
             m.events,
             m.grants,
             m.keyed_messages,
@@ -654,103 +351,10 @@ mod tests {
         let m = measure(15, 4, "uniform", KeyDist::Uniform, 2);
         let json = results_json(&[m.clone(), m]);
         assert_eq!(json.matches("\"keys\"").count(), 2);
-        assert_eq!(json.matches("\"window\": 1").count(), 2);
+        assert_eq!(json.matches("\"scheduler\"").count(), 2);
         assert_eq!(json.matches("\"p999_wait_ticks\"").count(), 2);
         assert!(json.trim_start().starts_with('['));
         assert!(json.trim_end().ends_with(']'));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn wider_windows_cut_envelopes_for_the_same_demand() {
-        // The acceptance property of the coalescing transport, at test
-        // scale: Window(k) serves identical demand with fewer envelopes
-        // than EveryTick, paying (at most) a bounded wait increase.
-        let cell = |window| {
-            measure_window(
-                15,
-                64,
-                "uniform",
-                KeyDist::Uniform,
-                30,
-                Scheduler::Auto,
-                window,
-                WINDOW_STAGGER,
-            )
-        };
-        let tick = cell(1);
-        let wide = cell(16);
-        assert_eq!(tick.grants, wide.grants, "same demand served");
-        assert!(
-            wide.envelopes < tick.envelopes,
-            "window 16 {} !< every-tick {}",
-            wide.envelopes,
-            tick.envelopes
-        );
-        assert!(wide.mean_wait_ticks >= tick.mean_wait_ticks);
-    }
-
-    #[test]
-    fn window_sweep_covers_the_grid() {
-        let table = run_windows(&[15], &[16], 4);
-        assert_eq!(
-            table.len(),
-            4,
-            "3 windows + adaptive × 1 key count × 1 size"
-        );
-        // Envelope counts are monotonically non-increasing in the window.
-        let envelopes: Vec<u64> = (0..3).map(|r| table.cell(r, 5).parse().unwrap()).collect();
-        assert!(envelopes[2] <= envelopes[1] && envelopes[1] <= envelopes[0]);
-        assert!(table.cell(3, 2).starts_with("adaptive"));
-    }
-
-    #[test]
-    fn adaptive_envelope_savings_land_within_the_best_static_window() {
-        // The satellite acceptance: the learning transport, with no
-        // hand-picked window, saves envelopes vs end-of-tick flushing
-        // and lands within the static sweep's envelope range — it
-        // learns a window instead of needing one tuned.
-        let cell = |window| {
-            measure_window(
-                15,
-                64,
-                "uniform",
-                KeyDist::Uniform,
-                30,
-                Scheduler::Auto,
-                window,
-                WINDOW_STAGGER,
-            )
-        };
-        let static_envelopes: Vec<u64> = WINDOWS.iter().map(|&w| cell(w).envelopes).collect();
-        let best = *static_envelopes.iter().min().unwrap();
-        let worst = *static_envelopes.iter().max().unwrap();
-        let adaptive = measure_adaptive(
-            15,
-            64,
-            "uniform",
-            KeyDist::Uniform,
-            30,
-            Scheduler::Auto,
-            ADAPTIVE_TARGET,
-            ADAPTIVE_CAP,
-            WINDOW_STAGGER,
-        );
-        assert_eq!(adaptive.flush, "adaptive");
-        assert_eq!(adaptive.grants, cell(1).grants, "same demand served");
-        assert!(
-            adaptive.envelopes < worst,
-            "adaptive {} !< every-tick {}",
-            adaptive.envelopes,
-            worst
-        );
-        // Within 10% of the best hand-tuned window (it is allowed to
-        // beat it: flushing fat batches early regroups later traffic).
-        assert!(
-            adaptive.envelopes as f64 <= 1.10 * best as f64,
-            "adaptive {} not within 10% of best static window {}",
-            adaptive.envelopes,
-            best
-        );
     }
 }

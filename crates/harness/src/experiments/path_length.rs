@@ -15,7 +15,7 @@
 //! never exceeds the tree diameter — the distribution, not just its
 //! mean, is logarithmic.
 
-use dmx_lockspace::{FlushPolicy, LockSpace, LockSpaceConfig, LockSpaceMonitor, Placement};
+use dmx_lockspace::{LockSpace, LockSpaceConfig, LockSpaceMonitor, Placement};
 use dmx_simnet::metrics::Histogram;
 use dmx_simnet::{Engine, EngineConfig, LatencyModel, Time};
 use dmx_topology::Tree;
@@ -38,7 +38,6 @@ pub fn run_cell(n: usize, keys: u32, dist: KeyDist, rounds: u32, seed: u64) -> L
         placement: Placement::Modulo,
         hold: Time(1),
         batching: true,
-        flush: FlushPolicy::EveryTick,
         trace_paths: true,
         ..LockSpaceConfig::default()
     };

@@ -4,21 +4,21 @@
 //! captures per-key holders, pending sets, and in-flight envelopes from
 //! a *running* cluster — no pause, no barrier, client threads keep
 //! locking throughout. Each cut is then checked by the per-key safety
-//! oracle: across node tables, staged transports, and recorded channel
-//! traffic, every key carries **exactly one** privilege (counting the
+//! oracle: across node tables and recorded channel traffic, every key
+//! carries **exactly one** privilege (counting the
 //! implicit token of a hub that never materialized the key).
 //!
 //! The experiment storms a cluster with one client thread per node and
 //! takes a series of cuts mid-storm, one table row per cut. The
-//! interesting columns are the in-flight ones: nonzero `staged` /
-//! `recorded` / `privileges in flight` entries are cuts that landed
-//! while tokens were genuinely travelling — and still balanced.
+//! interesting columns are the in-flight ones: nonzero `recorded` /
+//! `privileges in flight` entries are cuts that landed while tokens
+//! were genuinely travelling — and still balanced.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use dmx_core::LockId;
-use dmx_lockspace::{FlushPolicy, Placement};
+use dmx_lockspace::Placement;
 use dmx_runtime::{LockSpaceCluster, LockSpaceClusterConfig};
 use dmx_topology::Tree;
 
@@ -39,7 +39,7 @@ pub fn run(n: usize, keys: u32, workers: usize, snapshots: usize) -> Table {
         keys,
         placement: Placement::Modulo,
         workers,
-        flush: FlushPolicy::Window(4),
+        ..LockSpaceClusterConfig::default()
     };
     let (cluster, clients) = LockSpaceCluster::start_with(&tree, config);
     let stop = Arc::new(AtomicBool::new(false));
@@ -59,7 +59,7 @@ pub fn run(n: usize, keys: u32, workers: usize, snapshots: usize) -> Table {
     let mut table = Table::new(
         &format!(
             "ext_snap — live consistent cuts mid-storm \
-             (n = {n}, keys = {keys}, {workers} shard threads/node, window 4)"
+             (n = {n}, keys = {keys}, {workers} shard threads/node)"
         ),
         &[
             "cut",
@@ -68,7 +68,6 @@ pub fn run(n: usize, keys: u32, workers: usize, snapshots: usize) -> Table {
             "implicit",
             "executing",
             "requesting",
-            "staged",
             "recorded",
             "privileges in flight",
         ],
@@ -90,7 +89,6 @@ pub fn run(n: usize, keys: u32, workers: usize, snapshots: usize) -> Table {
             summary.implicit_tokens.to_string(),
             summary.executing.to_string(),
             summary.requesting.to_string(),
-            summary.staged_messages.to_string(),
             summary.recorded_messages.to_string(),
             summary.privileges_in_flight.to_string(),
         ]);
@@ -120,7 +118,7 @@ mod tests {
         for row in 0..3 {
             let tokens: usize = table.cell(row, 2).parse().unwrap();
             let implicit: usize = table.cell(row, 3).parse().unwrap();
-            let travelling: usize = table.cell(row, 8).parse().unwrap();
+            let travelling: usize = table.cell(row, 7).parse().unwrap();
             assert_eq!(tokens + implicit + travelling, 8);
         }
     }

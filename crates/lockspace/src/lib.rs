@@ -25,11 +25,10 @@
 //!   message, or (batching on) *many keys'* messages for the same
 //!   destination, with pooled payload buffers so the steady-state hot
 //!   path stays allocation-free;
-//! * [`Transport`]/[`FlushPolicy`] — the coalescing layer both
-//!   lock-space runtimes (this crate's simulated one and
-//!   `dmx-runtime`'s threaded cluster) share: staged sends, stable
-//!   destination grouping, and Nagle-style flush windows that trade
-//!   latency for envelope count;
+//! * [`Transport`] — the grouping layer every lock-space driver
+//!   (this crate's simulated and parallel ones and `dmx-runtime`'s
+//!   threaded cluster) shares: staged sends, grouped by destination
+//!   per tick (or, tickless, per input) into pooled envelopes;
 //! * [`LockSpace`]/[`LockSpaceNode`] — the per-node protocol driving
 //!   request arrivals and hold durations off the engine's timer facility
 //!   (the engine's single-lock safety machinery cannot describe K

@@ -78,12 +78,12 @@
 //! # Envelope exchange
 //!
 //! Within a tick each shard stages its sends through the shared
-//! [`Transport`] (grouping per source node, [`FlushPolicy::EveryTick`]
-//! semantics) into `(tick, src, dst, messages, payload)` records. At
-//! the next barrier the leader merges all shards' records: one logical
-//! envelope per `(tick, src, dst)` — a batch that crosses shards pays
-//! its [`BATCH_HEADER_BYTES`] once, exactly as the single shared
-//! network would have charged it.
+//! [`Transport`] (grouped per source node and per tick) into
+//! `(tick, src, dst, messages, payload)` records. At the next barrier
+//! the leader merges all shards' records: one logical envelope per
+//! `(tick, src, dst)` — a batch that crosses shards pays its
+//! [`BATCH_HEADER_BYTES`] once, exactly as the single shared network
+//! would have charged it.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -335,8 +335,6 @@ impl Default for ParallelConfig {
 impl ParallelConfig {
     /// Validates the configuration in isolation (the checks that need
     /// no tree or demand — those run in [`ParallelEngine::new`]).
-    /// Mirrors the construction-time contract of
-    /// [`FlushPolicy::validate`](crate::FlushPolicy::validate).
     ///
     /// # Panics
     ///
@@ -387,7 +385,7 @@ pub struct ParallelReport {
     /// Merged per-key metrics rollup.
     pub rollup: KeyedRollup,
     /// Logical envelopes the shared network carried (one per busy
-    /// `(tick, src, dst)` under `EveryTick` coalescing).
+    /// `(tick, src, dst)` under per-tick grouping).
     pub envelopes: u64,
     /// Bytes those envelopes carried (payload plus batch headers).
     pub envelope_bytes: u64,

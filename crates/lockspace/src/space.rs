@@ -23,23 +23,19 @@
 //!
 //! Sends are staged rather than transmitted immediately, through the
 //! node's [`Transport`] (see the [`transport`](crate::transport) module
-//! — the same coalescing code the threaded `LockSpaceCluster` runs).
-//! With batching on, a node keeps staging across *all* of its
-//! dispatches until its [`FlushPolicy`]'s window closes, then flushes
-//! once (a wake-up, which the engine orders after every same-tick
-//! delivery): each destination then receives one pooled
-//! [`Envelope::Batch`] (or a bare [`Envelope::One`]) per window, no
-//! matter how many keys' messages piled up — this is how a busy node's
-//! fan-out, e.g. a hub forwarding many keys' requests, collapses onto
-//! the per-destination links.
+//! — the same grouping code the threaded `LockSpaceCluster` runs).
+//! With batching on, a node stages across all of its dispatches in one
+//! tick and flushes once at the end of that tick (a wake-up, which the
+//! engine orders after every same-tick delivery): each destination then
+//! receives one pooled [`Envelope::Batch`] (or a bare
+//! [`Envelope::One`]) per busy tick, no matter how many keys' messages
+//! piled up. This is how a busy node's fan-out, e.g. a hub forwarding
+//! many keys' requests, collapses onto the per-destination links
+//! without delaying any message past its tick.
 //!
-//! [`FlushPolicy::EveryTick`] flushes at the same tick the messages
-//! were produced, adding no latency; [`FlushPolicy::Window`]`(k)`
-//! holds traffic Nagle-style for up to `k` ticks, trading latency for
-//! fewer, fatter envelopes. With batching off every message is
-//! transmitted in its own envelope the moment its dispatch ends, which
-//! makes per-key traffic match an equivalent single-lock run message
-//! for message.
+//! With batching off every message is transmitted in its own envelope
+//! the moment its dispatch ends, which makes per-key traffic match an
+//! equivalent single-lock run message for message.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -74,15 +70,11 @@ pub struct LockSpaceConfig {
     pub placement: Placement,
     /// How long a node holds a granted key before releasing it.
     pub hold: Time,
-    /// Group same-destination sends into [`Envelope::Batch`]
-    /// deliveries. Off, every keyed message is its own delivery —
-    /// per-key message counts then match an equivalent single-lock run
-    /// exactly, and `flush` is ignored.
+    /// Group each tick's same-destination sends into
+    /// [`Envelope::Batch`] deliveries. Off, every keyed message is its
+    /// own delivery — per-key message counts then match an equivalent
+    /// single-lock run exactly.
     pub batching: bool,
-    /// How long the transport coalesces before flushing (see
-    /// [`FlushPolicy`]); only meaningful with `batching` on. Validated
-    /// once at [`LockSpace::cluster`].
-    pub flush: FlushPolicy,
     /// Shard count of each node's [`LockTable`](crate::LockTable).
     pub shards: usize,
     /// Trace per-request DAG path lengths (REQUEST hops from requester
@@ -99,7 +91,6 @@ impl Default for LockSpaceConfig {
             placement: Placement::Modulo,
             hold: Time(1),
             batching: true,
-            flush: FlushPolicy::EveryTick,
             shards: 16,
             trace_paths: false,
         }
@@ -174,8 +165,8 @@ pub struct LockSpaceNode {
     phase: Phase,
     /// Buffer the core appends [`Effect`]s to.
     effects: Vec<Effect>,
-    /// The coalescing transport: staged sends, destination grouping,
-    /// and the flush-window bookkeeping (shared implementation with the
+    /// The transport: staged sends, destination grouping, and the
+    /// end-of-tick flush booking (shared implementation with the
     /// threaded `LockSpaceCluster`).
     transport: Transport,
 }
@@ -316,7 +307,7 @@ impl LockSpaceNode {
 
     /// Ends a dispatch: with batching off, transmit everything staged
     /// right away (one envelope per message); with batching on, make
-    /// sure a flush wake is booked per the transport's [`FlushPolicy`].
+    /// sure an end-of-tick flush wake is booked.
     fn end_dispatch(&mut self, ctx: &mut Ctx<'_, Envelope>) {
         if !self.config.batching {
             self.transport
@@ -388,9 +379,9 @@ impl Protocol for LockSpaceNode {
             }
         }
         if self.transport.flush_due(now) {
-            // This wake is the flush point of the open coalescing
-            // window; everything staged since it opened leaves now
-            // (including anything the release/issue above just staged).
+            // This wake is the end-of-tick flush point: everything
+            // staged this tick leaves now (including anything the
+            // release/issue above just staged).
             self.flush_now(ctx);
         } else {
             self.end_dispatch(ctx);
@@ -415,16 +406,14 @@ impl LockSpace {
     ///
     /// # Panics
     ///
-    /// Panics if `config.keys == 0`, `config.shards == 0`,
-    /// `config.flush` is invalid (see [`FlushPolicy::validate`]), or the
-    /// placement is (see [`Placement::validate`]).
+    /// Panics if `config.keys == 0`, `config.shards == 0`, or the
+    /// placement is invalid (see [`Placement::validate`]).
     pub fn cluster(
         tree: &Tree,
         config: LockSpaceConfig,
         workload: &dyn KeyedWorkload,
     ) -> (Vec<LockSpaceNode>, LockSpaceMonitor) {
         assert!(config.keys > 0, "lock space needs at least one key");
-        config.flush.validate();
         let n = tree.len();
         config.placement.validate(n);
         let shared = Rc::new(RefCell::new(Shared {
@@ -451,7 +440,7 @@ impl LockSpace {
                 next_arrival: None,
                 phase: Phase::Idle,
                 effects: Vec::new(),
-                transport: Transport::new(n, config.flush),
+                transport: Transport::new(n, FlushPolicy::EveryTick),
             })
             .collect();
         (nodes, LockSpaceMonitor { shared })
@@ -719,111 +708,6 @@ mod tests {
         assert!(on.messages_total < monitor_on.rollup().messages);
         assert!(on.kind_count("BATCH") > 0, "no batch ever formed");
         assert_eq!(monitor_off.rollup().messages, off.messages_total);
-    }
-
-    #[test]
-    fn window_flush_coalesces_across_ticks() {
-        // A hub granting keys requested on *different* ticks: EveryTick
-        // flushes each tick separately, a 16-tick window merges ticks —
-        // fewer envelopes for the same keyed traffic and the same
-        // demand served.
-        let n = 7;
-        let make = |flush| {
-            let tree = Tree::star(n);
-            let workload = KeyedThinkTime::new(
-                8,
-                KeyDist::Uniform,
-                LatencyModel::Uniform {
-                    lo: Time(1),
-                    hi: Time(6),
-                },
-                40,
-                11,
-            );
-            let config = LockSpaceConfig {
-                keys: 8,
-                placement: Placement::Hub(NodeId(0)),
-                hold: Time(0),
-                flush,
-                ..LockSpaceConfig::default()
-            };
-            run(&tree, config, &workload)
-        };
-        let (engine_tick, monitor_tick) = make(FlushPolicy::EveryTick);
-        let (engine_win, monitor_win) = make(FlushPolicy::Window(16));
-        assert_eq!(monitor_tick.rollup().grants, monitor_win.rollup().grants);
-        assert!(
-            engine_win.metrics().messages_total < engine_tick.metrics().messages_total,
-            "window {} !< every-tick {}",
-            engine_win.metrics().messages_total,
-            engine_tick.metrics().messages_total
-        );
-        // The latency side of the tradeoff: holding traffic for a
-        // window can only lengthen waits.
-        assert!(monitor_win.rollup().mean_wait_ticks >= monitor_tick.rollup().mean_wait_ticks);
-    }
-
-    #[test]
-    fn adaptive_flush_stays_between_tick_and_max_window() {
-        let n = 7;
-        let make = |flush| {
-            let tree = Tree::star(n);
-            let workload = KeyedThinkTime::new(
-                8,
-                KeyDist::Uniform,
-                LatencyModel::Uniform {
-                    lo: Time(1),
-                    hi: Time(6),
-                },
-                40,
-                11,
-            );
-            let config = LockSpaceConfig {
-                keys: 8,
-                placement: Placement::Hub(NodeId(0)),
-                hold: Time(0),
-                flush,
-                ..LockSpaceConfig::default()
-            };
-            run(&tree, config, &workload)
-        };
-        let (engine_tick, monitor_tick) = make(FlushPolicy::EveryTick);
-        let (engine_adaptive, monitor_adaptive) = make(FlushPolicy::Adaptive {
-            target_per_dst: 3.0,
-            max_window: 16,
-        });
-        assert_eq!(
-            monitor_tick.rollup().grants,
-            monitor_adaptive.rollup().grants
-        );
-        assert!(engine_adaptive.metrics().messages_total <= engine_tick.metrics().messages_total);
-    }
-
-    #[test]
-    #[should_panic(expected = "Window needs >= 1 tick")]
-    fn zero_tick_window_is_rejected_at_cluster_construction() {
-        let tree = Tree::star(3);
-        let sched = KeyedSchedule::new(3);
-        let config = LockSpaceConfig {
-            flush: FlushPolicy::Window(0),
-            ..LockSpaceConfig::default()
-        };
-        let _ = LockSpace::cluster(&tree, config, &sched);
-    }
-
-    #[test]
-    #[should_panic(expected = "target_per_dst must be finite")]
-    fn nan_adaptive_target_is_rejected_at_cluster_construction() {
-        let tree = Tree::star(3);
-        let sched = KeyedSchedule::new(3);
-        let config = LockSpaceConfig {
-            flush: FlushPolicy::Adaptive {
-                target_per_dst: f64::INFINITY,
-                max_window: 4,
-            },
-            ..LockSpaceConfig::default()
-        };
-        let _ = LockSpace::cluster(&tree, config, &sched);
     }
 
     #[test]

@@ -1,34 +1,35 @@
-//! The lock space's coalescing transport: staging, destination
-//! grouping, pooled envelopes, and Nagle-style flush windows.
+//! The lock space's transport: staging, destination grouping, and
+//! pooled envelopes.
 //!
-//! PR 2 embedded batching inside the simulated `LockSpaceNode`: sends
-//! were staged per dispatch and flushed once at the end of the tick.
-//! That coalesces within one tick and one node only. This module
-//! extracts the whole mechanism into a first-class transport layer that
-//! **both** lock-space runtimes share:
+//! Every lock driver that puts keyed messages on a wire stages them in
+//! a per-node [`Transport`] and flushes them as a group, one envelope
+//! per destination:
 //!
-//! * the simulated [`LockSpace`](crate::LockSpace), which drives flush
-//!   deadlines through the engine's `Ctx::wake_at` timer facility, and
-//! * the threaded `LockSpaceCluster` in `dmx-runtime`, whose shard
-//!   threads each stage their sends into their own [`Transport`] and
-//!   flush through the very same grouping code.
+//! * the simulated [`LockSpace`](crate::LockSpace) flushes at the end
+//!   of the tick the traffic was produced in, through one wake booked
+//!   with the engine's `Ctx::wake_at` timer facility;
+//! * the [`parallel`](crate::parallel) engine's shards group each
+//!   finished tick's sends per source node into exchange records;
+//! * the threaded `LockSpaceCluster` in `dmx-runtime` has no ticks: its
+//!   shard threads flush after every input they apply.
 //!
-//! The transport's [`FlushPolicy`] makes the latency-vs-envelope-count
-//! tradeoff a measured knob instead of a hardwired behavior:
+//! Grouping is all the transport does. The paper sends each REQUEST
+//! and PRIVILEGE as soon as it is produced, and per-tick grouping keeps
+//! that: no message waits past the tick (or the input) that produced
+//! it.
 //!
-//! * [`FlushPolicy::EveryTick`] — flush at the end of the tick the
-//!   traffic was produced in (PR 2's behavior; zero added latency).
-//! * [`FlushPolicy::Window`]`(k)` — Nagle-style: the first staged
-//!   message opens a `k`-tick coalescing window; everything staged
-//!   before the window closes rides the same per-destination envelopes.
-//!   Trades up to `k - 1` ticks of latency for fewer, fatter envelopes.
-//! * [`FlushPolicy::Adaptive`] — a `Window` that closes early the
-//!   moment batches are already fat (staged messages per destination
-//!   reached a target), so a loaded node flushes promptly and an idle
-//!   one waits out the window. The target is *learned*: the configured
-//!   `target_per_dst` only seeds an EWMA over the per-destination batch
-//!   occupancy observed at each flush, so the policy tracks the traffic
-//!   the node actually carries instead of trusting a shipped constant.
+//! ## Why there are no coalescing windows
+//!
+//! Earlier versions could also hold traffic for several ticks
+//! (`Window(k)`) or until batches were fat (`Adaptive`). Lavault's
+//! path-reversal analysis bounds the hops per grant, and a window can
+//! only add delay to each of those hops. Measured, it never paid: in
+//! the 64-key simulator cell `Window(4)` cut envelopes by 4% while mean
+//! wait rose from 9.78 to 34.2 ticks, and `Adaptive` cut 20% at 8.6×
+//! the wait, with no gain in events/s. On the threaded cluster every
+//! window cut envelopes per grant by only 1.4%, and flushing after
+//! every input served the most grants/s. So both policies were
+//! deleted.
 //!
 //! ## Grouping
 //!
@@ -36,8 +37,7 @@
 //! — O(messages + destinations) per flush over buffers that persist
 //! across flushes, so the steady-state hot path performs **zero heap
 //! allocations** (pinned by the umbrella crate's `alloc_free` test).
-//! Group assignment happens at [`Transport::stage`] time, which also
-//! gives the adaptive policy its staged-per-destination ratio for free.
+//! Group assignment happens at [`Transport::stage`] time.
 //! Multi-message groups leave as pooled [`Envelope::Batch`] payloads
 //! drawn from a [`BatchPool`]; lone messages go as [`Envelope::One`].
 
@@ -47,80 +47,19 @@ use dmx_topology::NodeId;
 
 use crate::envelope::Envelope;
 
-/// When staged traffic leaves the node — the coalescing-window knob.
+/// When staged traffic leaves the node: at the end of the tick that
+/// produced it, the only policy there is.
 ///
-/// Validated once at construction ([`FlushPolicy::validate`], called by
-/// [`Transport::new`] and `LockSpace::cluster`), following the
-/// `drop_rate` / `LatencyModel::validate` precedent: a bad policy
-/// panics before the run starts, never mid-flight.
-///
-/// # Examples
-///
-/// ```
-/// use dmx_lockspace::FlushPolicy;
-///
-/// FlushPolicy::Window(4).validate(); // fine
-/// assert_eq!(FlushPolicy::default(), FlushPolicy::EveryTick);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Vestigial: the benchmark harness still names `FlushPolicy::EveryTick`,
+/// `LockSpaceClusterConfig::flush` and the policy argument of
+/// [`Transport::new`], so all three stay until the next change to the
+/// benchmark deletes them together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlushPolicy {
     /// Flush at the end of the tick that produced the traffic: one
     /// envelope per destination per busy tick, no added latency.
     #[default]
     EveryTick,
-    /// Nagle-style coalescing: the first staged message opens a window
-    /// of this many ticks; the flush fires when it closes. `Window(1)`
-    /// behaves like [`FlushPolicy::EveryTick`]; `Window(0)` is rejected
-    /// by [`FlushPolicy::validate`].
-    Window(u64),
-    /// A bounded window that closes early once batches are fat.
-    Adaptive {
-        /// Close the window as soon as staged messages per destination
-        /// reach the *learned* target ratio (must be finite and
-        /// `>= 1.0`). This value only seeds the learner: each flush
-        /// folds the observed per-destination occupancy into an EWMA
-        /// (see [`Transport::learned_target`]), which is what the
-        /// early-close comparison actually uses.
-        target_per_dst: f64,
-        /// Longest a staged message waits before a forced flush (must
-        /// be `>= 1` tick).
-        max_window: u64,
-    },
-}
-
-impl FlushPolicy {
-    /// Validates the policy's parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a 0-tick `Window`, a non-finite or sub-1.0 adaptive
-    /// target, or a 0-tick adaptive `max_window`.
-    pub fn validate(self) {
-        match self {
-            FlushPolicy::EveryTick => {}
-            FlushPolicy::Window(ticks) => {
-                assert!(
-                    ticks >= 1,
-                    "FlushPolicy::Window needs >= 1 tick, got {ticks} \
-                     (use EveryTick for same-tick flushing)"
-                );
-            }
-            FlushPolicy::Adaptive {
-                target_per_dst,
-                max_window,
-            } => {
-                assert!(
-                    target_per_dst.is_finite() && target_per_dst >= 1.0,
-                    "FlushPolicy::Adaptive target_per_dst must be finite and >= 1.0, \
-                     got {target_per_dst}"
-                );
-                assert!(
-                    max_window >= 1,
-                    "FlushPolicy::Adaptive max_window needs >= 1 tick, got {max_window}"
-                );
-            }
-        }
-    }
 }
 
 /// Recycled [`Envelope::Batch`] payload buffers: a batch `Vec` is taken
@@ -186,15 +125,13 @@ struct Group {
     cursor: usize,
 }
 
-/// Per-node coalescing transport: stages keyed sends, groups them by
-/// destination, and flushes one envelope per destination per window.
+/// Per-node transport: stages keyed sends, groups them by destination,
+/// and flushes one envelope per destination.
 ///
-/// The tick-driven methods ([`Transport::after_dispatch`],
-/// [`Transport::flush_due`]) serve the simulated lock space; the
-/// burst-driven trigger ([`Transport::burst_cap_reached`]) serves the
-/// threaded cluster, which has no ticks and flushes on channel idle or
-/// when the policy's cap is hit. [`Transport::stage`] and
-/// [`Transport::flush`] — the actual coalescing — are shared.
+/// [`Transport::after_dispatch`] and [`Transport::flush_due`] book and
+/// answer the simulated lock space's end-of-tick flush wake; the
+/// tickless threaded cluster calls [`Transport::flush`] directly after
+/// every input.
 ///
 /// # Examples
 ///
@@ -220,7 +157,6 @@ struct Group {
 /// ```
 #[derive(Debug)]
 pub struct Transport {
-    policy: FlushPolicy,
     /// Sends staged since the last flush, in stage order.
     staging: Vec<(NodeId, KeyedDagMessage)>,
     /// Group index per destination (`u32::MAX` = none yet); reset at
@@ -234,48 +170,19 @@ pub struct Transport {
     /// The tick the pending flush is booked for, if any (simulated
     /// runtime only).
     flush_at: Option<Time>,
-    /// The adaptive policy's learned per-destination occupancy target:
-    /// seeded from the configured `target_per_dst`, updated by an EWMA
-    /// over the occupancy each flush actually observed. Unused (stays
-    /// at the seed) under the other policies.
-    learned_target: f64,
 }
 
 impl Transport {
-    /// A transport for an `n`-node system under `policy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is invalid (see [`FlushPolicy::validate`]).
-    pub fn new(n: usize, policy: FlushPolicy) -> Self {
-        policy.validate();
-        let learned_target = match policy {
-            FlushPolicy::Adaptive { target_per_dst, .. } => target_per_dst,
-            _ => 1.0,
-        };
+    /// A transport for an `n`-node system. `_policy` is vestigial (see
+    /// [`FlushPolicy`]).
+    pub fn new(n: usize, _policy: FlushPolicy) -> Self {
         Transport {
-            policy,
             staging: Vec::new(),
             dst_group: vec![u32::MAX; n],
             groups: Vec::new(),
             sorted: Vec::new(),
             flush_at: None,
-            learned_target,
         }
-    }
-
-    /// The adaptive policy's current per-destination occupancy target:
-    /// the configured seed before the first flush, then an EWMA of the
-    /// occupancies observed at each flush (smoothing factor
-    /// [`Transport::EWMA_ALPHA`], floored at 1.0 — an envelope never
-    /// carries less than one message).
-    pub fn learned_target(&self) -> f64 {
-        self.learned_target
-    }
-
-    /// The policy this transport flushes under.
-    pub fn policy(&self) -> FlushPolicy {
-        self.policy
     }
 
     /// Messages staged for the next flush.
@@ -286,17 +193,6 @@ impl Transport {
     /// Distinct destinations among the staged messages.
     pub fn destinations(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Visits every staged send in stage order without flushing it.
-    ///
-    /// Consistent-cut capture uses this to count messages that are
-    /// logically in flight (sent by the protocol, not yet on the wire):
-    /// a Chandy–Lamport cut must account for them exactly once.
-    pub fn for_each_staged(&self, mut f: impl FnMut(NodeId, &KeyedDagMessage)) {
-        for (to, msg) in &self.staging {
-            f(*to, msg);
-        }
     }
 
     /// Stages one keyed send for `to`, assigning it to its
@@ -316,59 +212,21 @@ impl Transport {
         self.staging.push((to, msg));
     }
 
-    /// Ends one simulated dispatch: decides whether a flush wake must
-    /// be booked and returns the time to book it for, per the policy.
-    ///
-    /// * `EveryTick` books an end-of-tick wake (once per tick);
-    /// * `Window(k)` books `now + k - 1` when no window is open;
-    /// * `Adaptive` books `now + max_window - 1` when no window is
-    ///   open, and *pulls the deadline in to `now`* the moment the
-    ///   staged-per-destination ratio reaches its target.
-    ///
-    /// Returns `None` when nothing is staged or the right wake is
-    /// already booked. A wake that fires when its deadline has been
-    /// superseded is answered by [`Transport::flush_due`] returning
-    /// `false`, so stale wakes are harmless.
+    /// Ends one simulated dispatch: returns the tick to book a flush
+    /// wake for — `now`, the end of this tick — unless nothing is
+    /// staged or that wake is already booked.
     pub fn after_dispatch(&mut self, now: Time) -> Option<Time> {
-        if self.staging.is_empty() {
+        if self.staging.is_empty() || self.flush_at == Some(now) {
             return None;
         }
-        match self.policy {
-            FlushPolicy::EveryTick => self.book(now),
-            FlushPolicy::Window(ticks) => {
-                if self.flush_at.is_none() {
-                    self.book(now + Time(ticks - 1))
-                } else {
-                    None
-                }
-            }
-            FlushPolicy::Adaptive { max_window, .. } => {
-                if self.batches_are_fat() {
-                    self.book(now)
-                } else if self.flush_at.is_none() {
-                    self.book(now + Time(max_window - 1))
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Books (or re-books) the flush for `at`; returns the wake to
-    /// schedule unless it is already booked.
-    fn book(&mut self, at: Time) -> Option<Time> {
-        if self.flush_at == Some(at) {
-            return None;
-        }
-        self.flush_at = Some(at);
-        Some(at)
+        self.flush_at = Some(now);
+        Some(now)
     }
 
     /// `true` iff the pending flush is booked for `now`; consumes the
     /// booking. The simulated node calls this from `on_wake` and
-    /// flushes when it returns `true` — a wake whose deadline was
-    /// superseded (e.g. an adaptive early flush already happened)
-    /// returns `false` and costs nothing.
+    /// flushes when it returns `true`; a wake with no flush booked for
+    /// its tick (a release or an arrival) returns `false`.
     pub fn flush_due(&mut self, now: Time) -> bool {
         if self.flush_at == Some(now) {
             self.flush_at = None;
@@ -376,34 +234,6 @@ impl Transport {
         } else {
             false
         }
-    }
-
-    /// Threaded-runtime trigger: `true` when the sends of `bursts`
-    /// processed inputs should flush without waiting for channel idle.
-    /// `EveryTick` caps at one burst, `Window(k)` at `k`, and
-    /// `Adaptive` fires on its staged-per-destination target *or* at
-    /// `max_window` bursts — the tickless enforcement of its
-    /// bounded-delay contract, so thin batches on a continuously busy
-    /// node still leave on time.
-    pub fn burst_cap_reached(&self, bursts: u64) -> bool {
-        match self.policy {
-            FlushPolicy::EveryTick => bursts >= 1,
-            FlushPolicy::Window(ticks) => bursts >= ticks,
-            FlushPolicy::Adaptive { max_window, .. } => {
-                bursts >= max_window || self.batches_are_fat()
-            }
-        }
-    }
-
-    /// EWMA smoothing factor for the adaptive policy's learned target:
-    /// each flush contributes 20% of its observed per-destination
-    /// occupancy, so the target adapts within a handful of flushes but
-    /// one outlier batch cannot whipsaw it.
-    pub const EWMA_ALPHA: f64 = 0.2;
-
-    fn batches_are_fat(&self) -> bool {
-        !self.groups.is_empty()
-            && self.staging.len() as f64 >= self.learned_target * self.groups.len() as f64
     }
 
     /// Transmits everything staged, grouped by destination
@@ -449,16 +279,6 @@ impl Transport {
                 send(dst, Envelope::Batch(batch));
             }
             self.dst_group[dst.index()] = u32::MAX;
-        }
-        if matches!(self.policy, FlushPolicy::Adaptive { .. }) {
-            // Learn from what this flush actually carried: the observed
-            // per-destination occupancy folds into the target so the
-            // fatness threshold tracks real traffic instead of the
-            // configured seed. Floored at 1.0 — an envelope never
-            // carries less than one message.
-            let observed = (self.staging.len() as f64 / self.groups.len() as f64).max(1.0);
-            self.learned_target =
-                (1.0 - Self::EWMA_ALPHA) * self.learned_target + Self::EWMA_ALPHA * observed;
         }
         self.groups.clear();
         self.staging.clear();
@@ -557,126 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn window_holds_traffic_for_k_ticks() {
-        let mut t = Transport::new(4, FlushPolicy::Window(4));
-        t.stage(NodeId(1), keyed(0));
-        assert_eq!(t.after_dispatch(Time(10)), Some(Time(13)));
-        // Later dispatches inside the window ride the same deadline.
-        t.stage(NodeId(1), keyed(1));
-        assert_eq!(t.after_dispatch(Time(12)), None);
-        assert!(!t.flush_due(Time(12)));
-        assert!(t.flush_due(Time(13)));
-    }
-
-    #[test]
-    fn window_of_one_matches_every_tick() {
-        let mut t = Transport::new(4, FlushPolicy::Window(1));
-        t.stage(NodeId(1), keyed(0));
-        assert_eq!(t.after_dispatch(Time(3)), Some(Time(3)));
-        assert!(t.flush_due(Time(3)));
-    }
-
-    #[test]
-    fn adaptive_pulls_the_deadline_in_when_batches_are_fat() {
-        let mut t = Transport::new(
-            8,
-            FlushPolicy::Adaptive {
-                target_per_dst: 3.0,
-                max_window: 16,
-            },
-        );
-        t.stage(NodeId(1), keyed(0));
-        assert_eq!(t.after_dispatch(Time(0)), Some(Time(15)), "window opens");
-        t.stage(NodeId(1), keyed(1));
-        assert_eq!(t.after_dispatch(Time(2)), None, "2/dst < 3: keep waiting");
-        t.stage(NodeId(1), keyed(2));
-        assert_eq!(t.after_dispatch(Time(4)), Some(Time(4)), "3/dst: flush now");
-        assert!(t.flush_due(Time(4)));
-        // The stale wake at t=15 finds nothing due.
-        assert!(!t.flush_due(Time(15)));
-    }
-
-    #[test]
-    fn adaptive_learns_its_target_from_observed_occupancy() {
-        let mut t = Transport::new(
-            8,
-            FlushPolicy::Adaptive {
-                target_per_dst: 3.0,
-                max_window: 16,
-            },
-        );
-        let mut pool = BatchPool::new();
-        assert_eq!(t.learned_target(), 3.0, "seeded from the config");
-        // A fat flush (6 messages, one destination) pulls the target up
-        // by exactly one EWMA step.
-        for i in 0..6 {
-            t.stage(NodeId(1), keyed(i));
-        }
-        t.flush(&mut pool, |_, _| {});
-        let expected = (1.0 - Transport::EWMA_ALPHA) * 3.0 + Transport::EWMA_ALPHA * 6.0;
-        assert!((t.learned_target() - expected).abs() < 1e-12);
-        assert!(t.learned_target() > 3.0 && t.learned_target() < 6.0);
-        // Repeated thin flushes (one message each) walk it back down
-        // toward the 1.0 floor.
-        for _ in 0..64 {
-            t.stage(NodeId(2), keyed(0));
-            t.flush(&mut pool, |_, _| {});
-        }
-        assert!(t.learned_target() < 1.01, "converges toward the floor");
-        // The fatness threshold follows the learned value, not the
-        // configured seed: two messages per destination would have sat
-        // out the window under the 3.0 seed, but flush immediately now.
-        t.stage(NodeId(3), keyed(0));
-        t.stage(NodeId(3), keyed(1));
-        assert_eq!(
-            t.after_dispatch(Time(0)),
-            Some(Time(0)),
-            "learned-thin traffic flushes immediately"
-        );
-        assert!(t.flush_due(Time(0)));
-    }
-
-    #[test]
-    fn non_adaptive_policies_never_move_the_learned_target() {
-        let mut t = Transport::new(4, FlushPolicy::EveryTick);
-        let mut pool = BatchPool::new();
-        for i in 0..5 {
-            t.stage(NodeId(1), keyed(i));
-        }
-        t.flush(&mut pool, |_, _| {});
-        assert_eq!(t.learned_target(), 1.0, "static policies keep the 1.0 seed");
-    }
-
-    #[test]
-    fn burst_caps_mirror_the_policies() {
-        let mut tick = Transport::new(4, FlushPolicy::EveryTick);
-        tick.stage(NodeId(1), keyed(0));
-        assert!(tick.burst_cap_reached(1));
-        let mut w = Transport::new(4, FlushPolicy::Window(3));
-        w.stage(NodeId(1), keyed(0));
-        assert!(!w.burst_cap_reached(2));
-        assert!(w.burst_cap_reached(3));
-        let mut a = Transport::new(
-            4,
-            FlushPolicy::Adaptive {
-                target_per_dst: 2.0,
-                max_window: 8,
-            },
-        );
-        a.stage(NodeId(1), keyed(0));
-        assert!(
-            !a.burst_cap_reached(7),
-            "thin batches wait within the window"
-        );
-        assert!(
-            a.burst_cap_reached(8),
-            "max_window bounds the wait even when batches stay thin"
-        );
-        a.stage(NodeId(1), keyed(1));
-        assert!(a.burst_cap_reached(0), "a fat batch flushes early");
-    }
-
-    #[test]
     fn pool_cap_bounds_a_net_receiver() {
         let mut pool = BatchPool::new();
         for _ in 0..BatchPool::CAP + 50 {
@@ -705,43 +405,5 @@ mod tests {
         // The destination map is clean: staging again starts fresh groups.
         t.stage(NodeId(1), keyed(3));
         assert_eq!(t.destinations(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "Window needs >= 1 tick")]
-    fn zero_tick_window_is_rejected() {
-        FlushPolicy::Window(0).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "target_per_dst must be finite")]
-    fn nan_adaptive_target_is_rejected() {
-        FlushPolicy::Adaptive {
-            target_per_dst: f64::NAN,
-            max_window: 4,
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "target_per_dst must be finite")]
-    fn sub_unit_adaptive_target_is_rejected() {
-        FlushPolicy::Adaptive {
-            target_per_dst: 0.5,
-            max_window: 4,
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "max_window needs >= 1 tick")]
-    fn zero_adaptive_window_is_rejected() {
-        Transport::new(
-            2,
-            FlushPolicy::Adaptive {
-                target_per_dst: 2.0,
-                max_window: 0,
-            },
-        );
     }
 }

@@ -5,7 +5,7 @@
 //! Two backends implement the same [`LockService`], hand out the same
 //! [`LockClient`]/[`LockGuard`] pair, and run the same node loop — one
 //! thread per node shard over a [`KeyedNode`](dmx_lockspace::KeyedNode)
-//! core and the simulator's coalescing transport:
+//! core and the simulator's grouping transport:
 //!
 //! * [`LockSpaceCluster`] — the sharded multi-key lock service over
 //!   crossbeam channels (per-sender FIFO, the paper's only network

@@ -1,7 +1,7 @@
 //! The multi-lock service over real threads: a [`LockSpaceCluster`]
 //! serves the same keyed-lock API the simulated `dmx-lockspace`
 //! subsystem exposes — with per-shard thread parallelism, the same
-//! coalescing transport the simulator runs, and the same unified
+//! grouping transport the simulator runs, and the same unified
 //! [`LockClient`] every other backend hands out (try/timeout/deadline
 //! and deadlock-free [`lock_many`](LockClient::lock_many) included).
 //!
@@ -14,8 +14,8 @@
 //!   the workspace runs (the simulated lock space, the session executor,
 //!   and the parallel engine's shards);
 //! * a [`Transport`] and its [`BatchPool`] — `dmx-lockspace`'s
-//!   coalescing layer, the identical grouping code the simulated
-//!   `LockSpace` flushes through;
+//!   grouping layer, the identical code the simulated `LockSpace`
+//!   flushes through;
 //! * the shared [`PendingSet`](crate::service) pending/abandon machine
 //!   and the keys its local user holds, so timeouts, abandonment
 //!   (release-on-grant; the paper has no cancel message), and request
@@ -23,14 +23,14 @@
 //! * its part of an in-progress Chandy–Lamport cut (see
 //!   [`crate::snapshot`]).
 //!
-//! The thread applies each input — a client call or a peer's envelope —
-//! inline, stages the sends it produced, and flushes one envelope per
-//! destination when the [`FlushPolicy`]'s cap is hit or the inbox goes
-//! idle. Shard `w` only ever talks to shard `w` of its peers (its keys
-//! live nowhere else), so one protocol message costs one channel hop,
-//! as in the paper, and a client call costs one round trip. Envelopes
-//! therefore group the traffic of one shard, not across a node's
-//! shards.
+//! The thread blocks on its inbox, applies each input — a client call
+//! or a peer's envelope — inline, and then flushes the sends that input
+//! produced, one envelope per destination. No message waits for a later
+//! input, as in the paper, where every REQUEST and PRIVILEGE leaves as
+//! soon as it is produced. Shard `w` only ever talks to shard `w` of its
+//! peers (its keys live nowhere else), so one protocol message costs one
+//! channel hop and a client call costs one round trip. Envelopes
+//! therefore group the traffic of one input of one shard.
 //!
 //! The wire carries [`Envelope::One`]/[`Envelope::Batch`]
 //! exactly like the simulator's network: a shard forwarding many keys'
@@ -79,7 +79,7 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use dmx_core::{DagMessage, KeyedDagMessage, LockId};
 use dmx_lockspace::{
     BatchPool, Effect, Envelope, FlushPolicy, KeyedNode, Placement, Seeds, Transport,
@@ -95,13 +95,11 @@ use crate::snapshot::{KeyCut, LockSpaceSnapshot, NodeCut};
 /// # Examples
 ///
 /// ```
-/// use dmx_lockspace::FlushPolicy;
 /// use dmx_runtime::LockSpaceClusterConfig;
 ///
 /// let config = LockSpaceClusterConfig {
 ///     keys: 64,
 ///     workers: 4,
-///     flush: FlushPolicy::Window(4),
 ///     ..LockSpaceClusterConfig::default()
 /// };
 /// assert_eq!(config.workers, 4);
@@ -116,14 +114,10 @@ pub struct LockSpaceClusterConfig {
     /// a full node loop for its keys that talks only to the same shard
     /// of its peers. With one (the default), each node is one thread.
     pub workers: usize,
-    /// How each shard's transport coalesces outgoing traffic. The
-    /// threaded runtime has no ticks, so the policy maps to processed
-    /// inputs (*bursts*): [`FlushPolicy::EveryTick`] flushes after
-    /// every input, [`FlushPolicy::Window`]`(k)` merges up to `k`
-    /// inputs' sends, and [`FlushPolicy::Adaptive`] flushes on its
-    /// staged-per-destination target — and every policy flushes the
-    /// moment the shard's inbox goes idle, so coalescing never stalls a
-    /// waiting lock. Envelopes group one shard's traffic only.
+    /// Vestigial: [`FlushPolicy::EveryTick`] is its only value, and a
+    /// shard flushes after every input it applies. The field stays
+    /// only because the benchmark harness names it; the next change to
+    /// the benchmark deletes it.
     pub flush: FlushPolicy,
 }
 
@@ -179,8 +173,9 @@ pub(crate) enum Input {
 /// channels ([`Channels`]) or sockets (`tcp::Sockets`). The shard loop
 /// is monomorphized over it.
 pub(crate) trait Wire: Send + 'static {
-    /// Transmits one envelope from `from` to `to`.
-    fn send(&mut self, from: NodeId, to: NodeId, envelope: Envelope);
+    /// Transmits one envelope from `from` to `to`; `false` if the wire
+    /// could not deliver it (the peer is gone).
+    fn send(&mut self, from: NodeId, to: NodeId, envelope: Envelope) -> bool;
 
     /// Transmits a Chandy–Lamport marker from `from` to `to`, behind
     /// every envelope already sent on that channel.
@@ -192,10 +187,11 @@ pub(crate) trait Wire: Send + 'static {
 struct Channels(Vec<Sender<Input>>);
 
 impl Wire for Channels {
-    fn send(&mut self, from: NodeId, to: NodeId, envelope: Envelope) {
-        // A send can only fail during shutdown, when the counters no
-        // longer matter.
-        let _ = self.0[to.index()].send(Input::Net { from, envelope });
+    fn send(&mut self, from: NodeId, to: NodeId, envelope: Envelope) -> bool {
+        // Fails only once the peer's shard thread has exited.
+        self.0[to.index()]
+            .send(Input::Net { from, envelope })
+            .is_ok()
     }
 
     fn marker(&mut self, from: NodeId, to: NodeId) {
@@ -226,9 +222,13 @@ pub struct LockSpaceNodeStats {
     pub requests_sent: u64,
     /// Keyed `PRIVILEGE` messages sent by this node.
     pub privileges_sent: u64,
-    /// Envelopes transmitted by this node (post-coalescing channel
-    /// sends; at most `requests_sent + privileges_sent`).
+    /// Envelopes transmitted by this node (post-grouping wire sends;
+    /// at most `requests_sent + privileges_sent`).
     pub envelopes_sent: u64,
+    /// Envelopes among `envelopes_sent` that the wire could not deliver
+    /// (a TCP connect or retried write failed, or the peer's shard had
+    /// exited). Nonzero outside shutdown means a message was lost.
+    pub envelopes_dropped: u64,
     /// Critical-section entries performed by this node's local user.
     pub entries: u64,
     /// Acquisitions whose user gave up waiting: the privilege arrived
@@ -246,6 +246,7 @@ impl LockSpaceNodeStats {
         self.requests_sent += shard.requests_sent;
         self.privileges_sent += shard.privileges_sent;
         self.envelopes_sent += shard.envelopes_sent;
+        self.envelopes_dropped += shard.envelopes_dropped;
         self.entries += shard.entries;
         self.abandoned += shard.abandoned;
         self.keys_materialized += shard.keys_materialized;
@@ -257,10 +258,12 @@ impl LockSpaceNodeStats {
 pub struct LockSpaceStats {
     /// Per-node counters, indexed by node.
     pub per_node: Vec<LockSpaceNodeStats>,
-    /// Total keyed protocol messages exchanged (pre-coalescing).
+    /// Total keyed protocol messages exchanged (pre-grouping).
     pub messages_total: u64,
-    /// Total envelopes transmitted (post-coalescing channel sends).
+    /// Total envelopes transmitted (post-grouping wire sends).
     pub envelopes_total: u64,
+    /// Total envelopes the wire could not deliver.
+    pub envelopes_dropped: u64,
     /// Total critical-section entries, across all keys.
     pub entries: u64,
 }
@@ -272,11 +275,13 @@ impl LockSpaceStats {
             .map(|s| s.requests_sent + s.privileges_sent)
             .sum();
         let envelopes_total = per_node.iter().map(|s| s.envelopes_sent).sum();
+        let envelopes_dropped = per_node.iter().map(|s| s.envelopes_dropped).sum();
         let entries = per_node.iter().map(|s| s.entries).sum();
         LockSpaceStats {
             per_node,
             messages_total,
             envelopes_total,
+            envelopes_dropped,
             entries,
         }
     }
@@ -311,8 +316,7 @@ impl LockSpaceStats {
 /// [`workers`](LockSpaceClusterConfig::workers), each hosting its
 /// shard's per-key DAG instances. Obtain per-node [`LockClient`]s from
 /// [`LockSpaceCluster::start`] (or
-/// [`start_with`](LockSpaceCluster::start_with) for shard/flush
-/// control) and call [`shutdown`](LockSpaceCluster::shutdown) when
+/// [`start_with`](LockSpaceCluster::start_with) for shard control) and call [`shutdown`](LockSpaceCluster::shutdown) when
 /// done; dropping the cluster stops its threads too.
 #[derive(Debug)]
 pub struct LockSpaceCluster {
@@ -327,8 +331,7 @@ pub struct LockSpaceCluster {
 
 impl LockSpaceCluster {
     /// Spawns one thread per node of `tree` serving `keys` locks
-    /// placed per `placement` (one shard per node, every-input
-    /// flushing), and returns the cluster plus one [`LockClient`]
+    /// placed per `placement` (one shard per node), and returns the cluster plus one [`LockClient`]
     /// per node (index = node id).
     ///
     /// # Panics
@@ -350,14 +353,13 @@ impl LockSpaceCluster {
         )
     }
 
-    /// [`LockSpaceCluster::start`] with explicit shard parallelism and
-    /// flush policy: `n × workers` threads in all.
+    /// [`LockSpaceCluster::start`] with explicit shard parallelism:
+    /// `n × workers` threads in all.
     ///
     /// # Panics
     ///
-    /// Panics if `config.keys == 0`, `config.workers == 0`,
-    /// `config.flush` is invalid (see [`FlushPolicy::validate`]), or the
-    /// placement is (see [`Placement::validate`]).
+    /// Panics if `config.keys == 0`, `config.workers == 0`, or the
+    /// placement is invalid (see [`Placement::validate`]).
     pub fn start_with(
         tree: &Tree,
         config: LockSpaceClusterConfig,
@@ -382,7 +384,6 @@ impl LockSpaceCluster {
     ) -> (LockSpaceCluster, Vec<LockClient>) {
         assert!(config.keys > 0, "lock space needs at least one key");
         assert!(config.workers > 0, "lock space needs at least one worker");
-        config.flush.validate();
         let n = tree.len();
         let workers = config.workers;
         config.placement.validate(n);
@@ -405,7 +406,6 @@ impl LockSpaceCluster {
                     effects: Vec::new(),
                     transport: Transport::new(n, config.flush),
                     pool: BatchPool::new(),
-                    bursts: 0,
                     pending: PendingSet::new(),
                     held: Vec::new(),
                     n,
@@ -551,9 +551,6 @@ struct Shard<W> {
     effects: Vec<Effect>,
     transport: Transport,
     pool: BatchPool,
-    /// Inputs processed since the last flush (the tickless analogue of
-    /// the simulator's coalescing window).
-    bursts: u64,
     /// The local user's outstanding acquisitions (waiting or abandoned)
     /// for this shard's keys.
     pending: PendingSet,
@@ -571,34 +568,11 @@ struct Shard<W> {
 
 impl<W: Wire> Shard<W> {
     fn run(mut self, rx: Receiver<Input>) -> LockSpaceNodeStats {
-        loop {
-            // Block only while nothing is staged; otherwise flush the
-            // moment the inbox goes idle.
-            let input = if self.transport.staged() > 0 {
-                match rx.try_recv() {
-                    Ok(input) => input,
-                    Err(TryRecvError::Empty) => {
-                        self.flush();
-                        continue;
-                    }
-                    Err(TryRecvError::Disconnected) => break,
-                }
-            } else {
-                match rx.recv() {
-                    Ok(input) => input,
-                    Err(_) => break,
-                }
-            };
+        while let Ok(input) = rx.recv() {
             if !self.apply(input) {
                 break;
             }
-            // Every input counts toward the cap — including send-less
-            // ones — so a busy stretch of absorbing inputs cannot hold
-            // an already-staged envelope past the policy's bound.
-            self.bursts += 1;
-            if self.transport.staged() > 0 && self.transport.burst_cap_reached(self.bursts) {
-                self.flush();
-            }
+            self.flush();
         }
         self.stats.keys_materialized = self.core.len();
         self.stats
@@ -732,24 +706,27 @@ impl<W: Wire> Shard<W> {
         self.effects.clear();
     }
 
-    /// Transmits everything staged, one envelope per destination.
+    /// Transmits everything staged, one envelope per destination,
+    /// counting what the wire fails to deliver.
     fn flush(&mut self) {
         let (me, wire, stats) = (self.core.id(), &mut self.wire, &mut self.stats);
         self.transport.flush(&mut self.pool, |to, envelope| {
             stats.envelopes_sent += 1;
-            wire.send(me, to, envelope);
+            if !wire.send(me, to, envelope) {
+                stats.envelopes_dropped += 1;
+            }
         });
-        self.bursts = 0;
     }
 
     /// The in-progress cut, or a new one: record this shard's state —
-    /// tables, user state, and staged sends all describe the same
-    /// moment, since every input is applied inline — then send a
-    /// marker to every peer.
+    /// tables and user state describe the same moment, since every
+    /// input is applied inline, and the transport is empty, since every
+    /// input's sends were flushed — then send a marker to every peer.
     fn open_cut(&mut self) -> CutState {
         if let Some(cut) = self.cut.take() {
             return cut;
         }
+        debug_assert_eq!(self.transport.staged(), 0, "cut with sends staged");
         let (me, n) = (self.core.id(), self.n);
         let mut slice = NodeCut {
             node: me,
@@ -765,13 +742,10 @@ impl<W: Wire> Shard<W> {
                 .collect(),
             held: self.held.clone(),
             pending: Vec::new(),
-            staged: Vec::new(),
             in_flight: vec![Vec::new(); n],
         };
         self.pending
             .for_each_engaged(|key, abandoned| slice.pending.push((key, abandoned)));
-        self.transport
-            .for_each_staged(|to, msg| slice.staged.push((to, *msg)));
         for to in (0..n).map(NodeId::from_index).filter(|&p| p != me) {
             self.wire.marker(me, to);
         }
@@ -859,18 +833,19 @@ mod tests {
         let stats = cluster.shutdown();
         assert_eq!(counter.load(Ordering::Relaxed), 25 * n as u64);
         assert_eq!(stats.entries, 25 * n as u64);
+        assert_eq!(stats.envelopes_dropped, 0);
     }
 
     #[test]
     fn sharded_workers_preserve_mutual_exclusion_under_contention() {
         // The same contention battery, but with real per-shard worker
-        // parallelism and a coalescing window on every node.
+        // parallelism on every node.
         let n = 4;
         let config = LockSpaceClusterConfig {
             keys: 8,
             placement: Placement::Modulo,
             workers: 4,
-            flush: FlushPolicy::Window(4),
+            ..LockSpaceClusterConfig::default()
         };
         let (cluster, clients) = LockSpaceCluster::start_with(&Tree::star(n), config);
         let in_cs = Arc::new(AtomicBool::new(false));
@@ -898,10 +873,10 @@ mod tests {
         }
         let stats = cluster.shutdown();
         assert_eq!(stats.entries, 2 * 25 * n as u64);
-        // The transport really coalesced: never more envelopes than
-        // keyed messages, and the counters are self-consistent.
+        // Never more envelopes than keyed messages, and none lost.
         assert!(stats.envelopes_total <= stats.messages_total);
         assert!(stats.envelopes_total > 0);
+        assert_eq!(stats.envelopes_dropped, 0);
     }
 
     #[test]
@@ -918,6 +893,7 @@ mod tests {
         assert_eq!(stats.messages_total, 3);
         // Lone messages ride One envelopes: 3 envelopes too.
         assert_eq!(stats.envelopes_total, 3);
+        assert_eq!(stats.envelopes_dropped, 0);
         // Only key 7 ever materialized anywhere.
         assert!(stats.per_node.iter().all(|s| s.keys_materialized <= 1));
     }
@@ -1158,7 +1134,7 @@ mod tests {
         let summary = snapshot.verify().expect("quiescent cut is consistent");
         assert_eq!(snapshot.nodes(), 3);
         assert_eq!(snapshot.keys(), 16);
-        // Nothing is moving: no staged or recorded traffic anywhere.
+        // Nothing is moving: no recorded traffic anywhere.
         assert_eq!(snapshot.in_flight_messages(), 0);
         assert_eq!(summary.executing, 1);
         // Keys 7 and 3 materialized away from their hub; 14 never left.
@@ -1182,7 +1158,7 @@ mod tests {
             keys: 8,
             placement: Placement::Modulo,
             workers: 2,
-            flush: FlushPolicy::Window(4),
+            ..LockSpaceClusterConfig::default()
         };
         let (cluster, clients) = LockSpaceCluster::start_with(&Tree::star(n), config);
         let mut workers = Vec::new();
@@ -1210,6 +1186,7 @@ mod tests {
         }
         let stats = cluster.shutdown();
         assert_eq!(stats.entries, 200 * n as u64);
+        assert_eq!(stats.envelopes_dropped, 0);
     }
 
     #[test]
@@ -1218,7 +1195,7 @@ mod tests {
             keys: 8,
             placement: Placement::Hub(NodeId(0)),
             workers: 2,
-            flush: FlushPolicy::EveryTick,
+            ..LockSpaceClusterConfig::default()
         };
         let (cluster, mut clients) = LockSpaceCluster::start_with(&Tree::line(3), config);
         assert_eq!(cluster.joins.len(), 3 * 2, "one thread per node shard");
@@ -1261,14 +1238,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Window needs >= 1 tick")]
-    fn zero_tick_window_is_rejected_at_cluster_start() {
+    fn undeliverable_envelopes_are_counted_not_swallowed() {
+        // A wire that loses everything: node 1's REQUEST never reaches
+        // the holder, so the lock times out, and the loss shows in the
+        // stats instead of vanishing.
+        struct Lossy;
+        impl Wire for Lossy {
+            fn send(&mut self, _: NodeId, _: NodeId, _: Envelope) -> bool {
+                false
+            }
+            fn marker(&mut self, _: NodeId, _: NodeId) {}
+        }
         let config = LockSpaceClusterConfig {
-            keys: 4,
-            flush: FlushPolicy::Window(0),
+            placement: Placement::Hub(NodeId(0)),
             ..LockSpaceClusterConfig::default()
         };
-        let _ = LockSpaceCluster::start_with(&Tree::line(2), config);
+        let (cluster, mut clients) = LockSpaceCluster::spawn(&Tree::line(2), config, |_, _| Lossy);
+        assert_eq!(
+            clients[1]
+                .lock(LockId(0))
+                .timeout(Duration::from_millis(20))
+                .unwrap_err(),
+            LockError::Timeout
+        );
+        drop(clients);
+        let stats = cluster.shutdown();
+        assert_eq!(stats.node(NodeId(1)).envelopes_sent, 1);
+        assert_eq!(stats.node(NodeId(1)).envelopes_dropped, 1);
+        assert_eq!(stats.envelopes_dropped, 1);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! runtime already assumes — per-channel FIFO:
 //!
 //! 1. A node records its own state (per-key DAG instances, the local
-//!    user's held/pending keys, sends still staged in the coalescing
-//!    transport) and then sends a marker on every outgoing channel.
+//!    user's held/pending keys) and then sends a marker on every
+//!    outgoing channel. Its transport holds no sends at that moment: a
+//!    shard flushes after every input, so a message the protocol has
+//!    sent is already on its channel.
 //! 2. From its cut point until the marker arrives on an incoming
 //!    channel, everything received on that channel is recorded as the
 //!    channel's in-flight state.
@@ -26,14 +28,13 @@
 //! (multi-initiator), each one's cut is triggered by whichever arrives
 //! first — the local request or a peer's marker — and the union of
 //! slices is still one consistent global cut. A node's shard slices
-//! then merge into its one [`NodeCut`]: keys, held and pending keys,
-//! and staged sends concatenate, and so does each peer's in-flight
-//! recording.
+//! then merge into its one [`NodeCut`]: keys, held and pending keys
+//! concatenate, and so does each peer's in-flight recording.
 //!
 //! [`LockSpaceSnapshot::verify`] then replays the paper's invariant
 //! against the cut: every key has **exactly one** privilege — parked in
-//! some node's table, staged for the wire, recorded in flight, or
-//! implicitly at an untouched hub — and the per-key
+//! some node's table, recorded in flight, or implicitly at an untouched
+//! hub — and the per-key
 //! [`KeyedSafetyChecker`] admits the executing set.
 
 use dmx_core::{DagMessage, KeyedDagMessage, LockId};
@@ -67,10 +68,6 @@ pub struct NodeCut {
     pub held: Vec<LockId>,
     /// Keys with an outstanding local acquisition: `(key, abandoned)`.
     pub pending: Vec<(LockId, bool)>,
-    /// Sends staged in the coalescing transport at the cut — emitted by
-    /// the protocol but not yet on the wire, so part of the in-flight
-    /// state this node owns.
-    pub staged: Vec<(NodeId, KeyedDagMessage)>,
     /// Channel recordings, indexed by sending peer: messages that
     /// crossed the cut on each incoming channel (received after this
     /// node's cut point, sent before the peer's marker).
@@ -85,7 +82,6 @@ impl NodeCut {
         self.keys.extend(shard.keys);
         self.held.extend(shard.held);
         self.pending.extend(shard.pending);
-        self.staged.extend(shard.staged);
         for (mine, theirs) in self.in_flight.iter_mut().zip(shard.in_flight) {
             mine.extend(theirs);
         }
@@ -105,8 +101,8 @@ pub enum SnapshotViolation {
     TokenCount {
         /// The offending key.
         key: LockId,
-        /// Privileges found across tables, staged sends, channel
-        /// recordings, and the implicit hub token.
+        /// Privileges found across tables, channel recordings, and the
+        /// implicit hub token.
         found: usize,
     },
     /// Two nodes were inside the same key's critical section.
@@ -135,11 +131,9 @@ pub struct SnapshotSummary {
     pub executing: usize,
     /// Instances with an outstanding REQUEST.
     pub requesting: usize,
-    /// Keyed messages staged in coalescing transports at the cut.
-    pub staged_messages: usize,
     /// Keyed messages recorded in flight on channels.
     pub recorded_messages: usize,
-    /// PRIVILEGE messages among the staged and in-flight traffic.
+    /// PRIVILEGE messages among the recorded in-flight traffic.
     pub privileges_in_flight: usize,
 }
 
@@ -177,20 +171,15 @@ impl LockSpaceSnapshot {
         &self.cuts
     }
 
-    /// Keyed messages the cut caught in flight: staged in a transport
-    /// or recorded on a channel.
+    /// Keyed messages the cut caught in flight, recorded on a channel.
     pub fn in_flight_messages(&self) -> usize {
-        self.cuts
-            .iter()
-            .map(|c| c.staged.len() + c.recorded_messages())
-            .sum()
+        self.cuts.iter().map(NodeCut::recorded_messages).sum()
     }
 
     /// Checks the paper's safety invariant against the cut.
     ///
     /// Exactly one privilege must exist per key — parked in a table,
-    /// staged for the wire, recorded in flight on a channel, or
-    /// implicit at a hub no traffic ever touched — and the executing
+    /// recorded in flight on a channel, or implicit at a hub no traffic ever touched — and the executing
     /// set must satisfy the per-key [`KeyedSafetyChecker`] (plus each
     /// node's held keys matching an executing, token-holding local
     /// instance).
@@ -239,20 +228,11 @@ impl LockSpaceSnapshot {
                     });
                 }
             }
-            let mut in_flight = |msg: &KeyedDagMessage| {
+            for msg in cut.in_flight.iter().flatten() {
+                summary.recorded_messages += 1;
                 if matches!(msg.msg, DagMessage::Privilege) {
                     tokens[msg.lock.index()] += 1;
                     summary.privileges_in_flight += 1;
-                }
-            };
-            for (_, msg) in &cut.staged {
-                summary.staged_messages += 1;
-                in_flight(msg);
-            }
-            for channel in &cut.in_flight {
-                for msg in channel {
-                    summary.recorded_messages += 1;
-                    in_flight(msg);
                 }
             }
         }

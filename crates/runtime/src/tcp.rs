@@ -38,7 +38,7 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::Sender;
 use dmx_core::{DagMessage, KeyedDagMessage, LockId};
-use dmx_lockspace::{Envelope, FlushPolicy, Placement};
+use dmx_lockspace::{Envelope, Placement};
 use dmx_topology::{NodeId, Tree};
 
 use crate::client::LockClient;
@@ -138,32 +138,32 @@ struct Sockets {
 
 impl Sockets {
     /// Writes the encoded buffer to `to` in one write, connecting
-    /// lazily and retrying once on a stale cached stream.
-    fn write(&mut self, to: NodeId) {
+    /// lazily and retrying once on a stale cached stream; `false` if
+    /// the connect or the retried write failed (the peer is gone).
+    fn write(&mut self, to: NodeId) -> bool {
         let slot = &mut self.streams[to.index()];
         for _ in 0..2 {
             if slot.is_none() {
-                match TcpStream::connect(self.addrs[to.index()]) {
-                    Ok(stream) => {
-                        let _ = stream.set_nodelay(true);
-                        *slot = Some(stream);
-                    }
-                    Err(_) => return, // peer gone: shutdown in progress
-                }
+                let Ok(stream) = TcpStream::connect(self.addrs[to.index()]) else {
+                    return false;
+                };
+                let _ = stream.set_nodelay(true);
+                *slot = Some(stream);
             }
             if slot
                 .as_mut()
                 .is_some_and(|s| s.write_all(&self.buf).is_ok())
             {
-                return;
+                return true;
             }
             *slot = None;
         }
+        false
     }
 }
 
 impl Wire for Sockets {
-    fn send(&mut self, from: NodeId, to: NodeId, envelope: Envelope) {
+    fn send(&mut self, from: NodeId, to: NodeId, envelope: Envelope) -> bool {
         self.buf.clear();
         match envelope {
             Envelope::One(msg) => Frame::Net { from, msg }.encode(&mut self.buf),
@@ -175,7 +175,7 @@ impl Wire for Sockets {
                 }
             }
         }
-        self.write(to);
+        self.write(to)
     }
 
     fn marker(&mut self, from: NodeId, to: NodeId) {
@@ -266,7 +266,7 @@ impl TcpCluster {
             keys: KEYS,
             placement: Placement::Hub(holder),
             workers: 1,
-            flush: FlushPolicy::EveryTick,
+            ..LockSpaceClusterConfig::default()
         };
         let (space, clients) = LockSpaceCluster::spawn(tree, config, |_, _| Sockets {
             addrs: Arc::clone(&addrs),
@@ -424,6 +424,25 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_connection_reports_the_envelope_undelivered() {
+        // A port nobody listens on any more: the connect fails, and the
+        // send says so instead of returning as if it had delivered.
+        let closed = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap();
+        let mut wire = Sockets {
+            addrs: Arc::from([closed, closed]),
+            streams: vec![None, None],
+            buf: Vec::new(),
+        };
+        let msg = KeyedDagMessage {
+            lock: LockId(0),
+            msg: DagMessage::Privilege,
+        };
+        assert!(!wire.send(NodeId(0), NodeId(1), Envelope::One(msg)));
+    }
+
+    #[test]
     fn malformed_frames_drop_their_connection_not_the_node() {
         let (cluster, mut clients) = TcpCluster::start(&Tree::line(3), NodeId(0)).unwrap();
         let req = |from: u32, origin: u32, lock: u32| {
@@ -484,6 +503,7 @@ mod tests {
         // Same 3 messages as the channel runtime and the simulator:
         // REQUEST 2->0, REQUEST 0->1, PRIVILEGE 1->2.
         assert_eq!(stats.messages_total, 3);
+        assert_eq!(stats.envelopes_dropped, 0);
     }
 
     #[test]
@@ -495,6 +515,7 @@ mod tests {
         let stats = cluster.shutdown();
         assert_eq!(stats.entries, 5);
         assert_eq!(stats.messages_total, 3, "only the first acquisition pays");
+        assert_eq!(stats.envelopes_dropped, 0);
     }
 
     #[test]
@@ -525,6 +546,7 @@ mod tests {
         let stats = cluster.shutdown();
         assert_eq!(tally.load(Ordering::Relaxed), 40);
         assert_eq!(stats.entries, 40);
+        assert_eq!(stats.envelopes_dropped, 0);
     }
 
     #[test]
@@ -546,6 +568,8 @@ mod tests {
 
         assert_eq!(tcp_stats.messages_total, chan_stats.messages_total);
         assert_eq!(tcp_stats.entries, chan_stats.entries);
+        assert_eq!(tcp_stats.envelopes_dropped, 0);
+        assert_eq!(chan_stats.envelopes_dropped, 0);
     }
 
     #[test]

@@ -179,9 +179,7 @@ impl KeyedThinkTime {
     /// Staggers the per-node start times: node `i`'s first request is
     /// delayed by `i mod stagger` extra ticks, spreading the initial
     /// burst over `stagger` consecutive ticks instead of landing it all
-    /// on one. This is the demand shape coalescing windows exist for —
-    /// traffic arriving on *different* ticks inside one window — so the
-    /// lock-space window sweeps drive their cells with it.
+    /// on one.
     ///
     /// # Panics
     ///

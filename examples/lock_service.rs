@@ -7,13 +7,7 @@
 //!
 //! ```text
 //! cargo run --example lock_service
-//! cargo run --example lock_service -- --window 16
 //! ```
-//!
-//! `--window <ticks>` runs the service through the transport's
-//! Nagle-style coalescing window instead of end-of-tick flushing, and
-//! closes with a side-by-side comparison against the end-of-tick run —
-//! the latency-vs-envelope-count tradeoff, measured.
 //!
 //! The run closes with the unified client API's party trick: one
 //! session script (lock / try / timeout / multi-key steps) executed
@@ -23,29 +17,11 @@
 use std::time::Duration;
 
 use dagmutex::core::LockId;
-use dagmutex::lockspace::{
-    FlushPolicy, LockSpace, LockSpaceConfig, Placement, ScriptedClient, SessionConfig,
-};
+use dagmutex::lockspace::{LockSpace, LockSpaceConfig, Placement, ScriptedClient, SessionConfig};
 use dagmutex::runtime::{run_script, LockSpaceCluster};
 use dagmutex::simnet::{Engine, EngineConfig, LatencyModel, Time};
 use dagmutex::topology::{NodeId, Tree};
 use dagmutex::workload::{KeyDist, KeyedThinkTime, Script};
-
-/// Parses `--window <ticks>` (None = end-of-tick flushing).
-fn window_arg() -> Option<u64> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--window" {
-            let ticks = args
-                .next()
-                .expect("--window needs a tick count")
-                .parse()
-                .expect("--window takes an integer tick count");
-            return Some(ticks);
-        }
-    }
-    None
-}
 
 fn make_workload(keys: u32) -> KeyedThinkTime {
     KeyedThinkTime::new(
@@ -60,21 +36,15 @@ fn make_workload(keys: u32) -> KeyedThinkTime {
 fn main() {
     let tree = Tree::kary(15, 2);
     let keys = 64u32;
-    let window = window_arg();
-    let flush = match window {
-        Some(ticks) => FlushPolicy::Window(ticks),
-        None => FlushPolicy::EveryTick,
-    };
     let workload = make_workload(keys);
     let config = LockSpaceConfig {
         keys,
         placement: Placement::Modulo,
         hold: Time(2),
         batching: true,
-        flush,
         ..LockSpaceConfig::default()
     };
-    let (nodes, monitor) = LockSpace::cluster(&tree, config.clone(), &workload);
+    let (nodes, monitor) = LockSpace::cluster(&tree, config, &workload);
     let mut engine = Engine::new(
         nodes,
         EngineConfig {
@@ -147,51 +117,6 @@ fn main() {
         100.0 * (1.0 - engine.metrics().messages_total as f64 / rollup.messages as f64),
         monitor.peak_concurrent_holders(),
     );
-
-    // With a window requested, rerun the identical demand under
-    // end-of-tick flushing and show what the window bought (and cost).
-    if let Some(ticks) = window {
-        let (nodes, tick_monitor) = LockSpace::cluster(
-            &tree,
-            LockSpaceConfig {
-                flush: FlushPolicy::EveryTick,
-                ..config
-            },
-            &make_workload(keys),
-        );
-        let mut tick_engine = Engine::new(
-            nodes,
-            EngineConfig {
-                record_trace: false,
-                ..EngineConfig::default()
-            },
-        );
-        tick_engine.run_to_quiescence().expect("clean run");
-        tick_monitor
-            .check_quiescent()
-            .expect("per-key safety + liveness");
-        let tick_rollup = tick_monitor.rollup();
-        println!("\n== the window tradeoff (same demand, two flush policies) ==");
-        println!(
-            "  end-of-tick: {:>6} envelopes, mean wait {:>6.1} ticks",
-            tick_engine.metrics().messages_total,
-            tick_rollup.mean_wait_ticks,
-        );
-        println!(
-            "  window {ticks:>4}: {:>6} envelopes, mean wait {:>6.1} ticks",
-            engine.metrics().messages_total,
-            rollup.mean_wait_ticks,
-        );
-        let saved = 100.0
-            * (1.0
-                - engine.metrics().messages_total as f64
-                    / tick_engine.metrics().messages_total as f64);
-        println!(
-            "  → the {ticks}-tick window sends {saved:.0}% fewer envelopes and pays \
-             {:+.1} ticks of mean wait",
-            rollup.mean_wait_ticks - tick_rollup.mean_wait_ticks,
-        );
-    }
 
     session_parity_demo();
 }

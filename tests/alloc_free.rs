@@ -27,8 +27,7 @@ use dagmutex::baselines::ricart_agrawala::RicartAgrawalaProtocol;
 use dagmutex::baselines::suzuki_kasami::SuzukiKasamiProtocol;
 use dagmutex::core::DagProtocol;
 use dagmutex::lockspace::{
-    FlushPolicy, LockSpace, LockSpaceConfig, ParallelConfig, ParallelEngine, Placement, ShardMap,
-    WindowPolicy,
+    LockSpace, LockSpaceConfig, ParallelConfig, ParallelEngine, Placement, ShardMap, WindowPolicy,
 };
 use dagmutex::simnet::{Engine, EngineConfig, LatencyModel, Protocol, Scheduler, Time};
 use dagmutex::topology::{NodeId, Tree};
@@ -120,9 +119,7 @@ fn assert_single_lock_alloc_free<P: Protocol>(label: &str, scheduler: Scheduler,
 /// batching on steps allocation-free once its tables, pools, and
 /// orientation caches are warm — under the given scheduler backend
 /// (same-tick flush wakes make the lock space the wheel's densest
-/// workload) and the given transport flush policy (a coalescing window
-/// holds bigger batches in the transport's persistent buffers, which
-/// must still reach a steady capacity).
+/// workload).
 ///
 /// Every grant records its request→grant wait into the fixed-bucket
 /// latency [`Histogram`](dagmutex::simnet::metrics::Histogram) — the
@@ -130,7 +127,7 @@ fn assert_single_lock_alloc_free<P: Protocol>(label: &str, scheduler: Scheduler,
 /// recording is allocation-free. With `trace_paths` set, per-request DAG
 /// hop counting feeds a second histogram from pre-sized per-origin
 /// slots, which must be just as free.
-fn assert_lockspace_alloc_free(scheduler: Scheduler, flush: FlushPolicy, trace_paths: bool) {
+fn assert_lockspace_alloc_free(scheduler: Scheduler, trace_paths: bool) {
     let n = 15;
     let tree = Tree::kary(n, 2);
     // Saturated keyed closed loop: think time zero, enough rounds that
@@ -147,7 +144,6 @@ fn assert_lockspace_alloc_free(scheduler: Scheduler, flush: FlushPolicy, trace_p
         placement: Placement::Modulo,
         hold: Time(1),
         batching: true,
-        flush,
         trace_paths,
         ..LockSpaceConfig::default()
     };
@@ -214,7 +210,7 @@ fn assert_lockspace_alloc_free(scheduler: Scheduler, flush: FlushPolicy, trace_p
          batching on, but every warm-up window still allocated",
     );
     println!(
-        "alloc_free: lockspace ({scheduler:?}, {flush:?}, trace_paths={trace_paths}) ok \
+        "alloc_free: lockspace ({scheduler:?}, trace_paths={trace_paths}) ok \
          (0 allocations across {STEPS} steady-state steps, \
          {quiet_recorded} waits histogrammed, after {rounds} warm-up rounds)"
     );
@@ -363,15 +359,12 @@ fn main() {
             scheduler,
             NaimiThiareProtocol::cluster(n),
         );
-        // Phase 3: the multiplexed lock-space hot path, batching on —
-        // under end-of-tick flushing and under a 4-tick coalescing
-        // window (the transport layer's Nagle path must be just as
-        // allocation-free as its same-tick path). Wait histograms are
-        // always on; the third variant adds per-request DAG path
-        // tracing, the full observability load.
-        assert_lockspace_alloc_free(scheduler, FlushPolicy::EveryTick, false);
-        assert_lockspace_alloc_free(scheduler, FlushPolicy::Window(4), false);
-        assert_lockspace_alloc_free(scheduler, FlushPolicy::EveryTick, true);
+        // Phase 3: the multiplexed lock-space hot path, batching on,
+        // end-of-tick flushing. Wait histograms are always on; the
+        // second variant adds per-request DAG path tracing, the full
+        // observability load.
+        assert_lockspace_alloc_free(scheduler, false);
+        assert_lockspace_alloc_free(scheduler, true);
     }
 
     // Phase 4: the parallel tick-barrier runtime — the default modulo

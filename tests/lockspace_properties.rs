@@ -9,16 +9,16 @@
 //!     peak-concurrency high-water mark;
 //! (c) with batching off, per-key message counts match an equivalent
 //!     single-lock run of the same algorithm, key for key;
-//! (d) the transport's flush policy is *invisible* to per-key traffic
-//!     on serialized demand: `EveryTick`, `Window(k)`, and batching-off
-//!     runs produce identical per-key message counts and grants (the
-//!     coalescing window moves bytes between envelopes, never between
-//!     keys), pinned both property-style and against a golden scenario.
+//! (d) batching is *invisible* to per-key traffic on serialized
+//!     demand: `EveryTick` (per-tick grouping) and batching-off runs
+//!     produce identical per-key message counts and grants (grouping
+//!     moves bytes between envelopes, never between keys), pinned both
+//!     property-style and against a golden scenario.
 //!
 //! [`KeyedSafetyChecker`]: dagmutex::simnet::checker::KeyedSafetyChecker
 
 use dagmutex::core::{DagProtocol, LockId};
-use dagmutex::lockspace::{FlushPolicy, LockSpace, LockSpaceConfig, LockSpaceMonitor, Placement};
+use dagmutex::lockspace::{LockSpace, LockSpaceConfig, LockSpaceMonitor, Placement};
 use dagmutex::simnet::{Engine, EngineConfig, LatencyModel, Time};
 use dagmutex::topology::{NodeId, Tree};
 use dagmutex::workload::{KeyDist, KeyedAffinity, KeyedSchedule, KeyedThinkTime, KeyedWorkload};
@@ -136,18 +136,16 @@ proptest! {
         prop_assert_eq!(monitor.peak_concurrent_holders(), n);
     }
 
-    /// (d) Flush-policy invisibility: on a serialized round-robin
-    /// schedule (spacing far wider than any window), `EveryTick`,
-    /// `Window(k)`, and batching-off runs produce identical per-key
-    /// message counts and grants, and all stay safety-clean. The window
-    /// changes *when* envelopes leave and how many there are — never
-    /// which keyed messages exist.
+    /// (d) Batching invisibility: on a serialized round-robin schedule,
+    /// `EveryTick` and batching-off runs produce identical per-key
+    /// message counts and grants, and both stay safety-clean. Grouping
+    /// changes how many envelopes leave — never which keyed messages
+    /// exist.
     #[test]
     fn per_key_traffic_is_invariant_across_flush_policies(
         n in 3usize..8,
         keys in 1u32..6,
         rounds_per_key in 1usize..4,
-        window in 2u64..17,
     ) {
         let tree = Tree::kary(n, 2);
         let spacing = Time(200);
@@ -159,23 +157,17 @@ proptest! {
             hold: Time(1),
             ..LockSpaceConfig::default()
         };
-        let (_, tick) = run_space(&tree, base.clone(), &sched)?;
-        let (engine_win, win) = run_space(
-            &tree,
-            LockSpaceConfig { flush: FlushPolicy::Window(window), ..base.clone() },
-            &sched,
-        )?;
+        let (engine_tick, tick) = run_space(&tree, base.clone(), &sched)?;
         let (engine_off, off) = run_space(
             &tree,
             LockSpaceConfig { batching: false, ..base },
             &sched,
         )?;
         let golden = per_key_trace(&tick, keys);
-        prop_assert_eq!(&per_key_trace(&win, keys), &golden, "Window({}) diverged", window);
         prop_assert_eq!(&per_key_trace(&off, keys), &golden, "batching-off diverged");
         // Unbatched, envelopes == keyed messages exactly.
         prop_assert_eq!(engine_off.metrics().messages_total, off.rollup().messages);
-        prop_assert!(engine_win.metrics().messages_total <= win.rollup().messages);
+        prop_assert!(engine_tick.metrics().messages_total <= tick.rollup().messages);
     }
 
     /// (e) Hot-tenant demand — home-biased zipf bursts, the burstiest
@@ -275,8 +267,7 @@ proptest! {
 /// The golden keyed scenario: 9 nodes, 6 keys, 18 serialized
 /// round-robin requests. Its per-key trace is pinned (so a transport
 /// refactor that silently changes keyed traffic fails loudly) and must
-/// be byte-identical under `EveryTick`, `Window(4)`, `Window(16)`,
-/// `Adaptive`, and batching-off.
+/// be byte-identical under `EveryTick` and batching-off.
 #[test]
 fn golden_scenario_per_key_trace_is_flush_policy_invariant() {
     let tree = Tree::kary(9, 2);
@@ -289,22 +280,7 @@ fn golden_scenario_per_key_trace_is_flush_policy_invariant() {
         ..LockSpaceConfig::default()
     };
     let policies = [
-        LockSpaceConfig { ..base.clone() },
-        LockSpaceConfig {
-            flush: FlushPolicy::Window(4),
-            ..base.clone()
-        },
-        LockSpaceConfig {
-            flush: FlushPolicy::Window(16),
-            ..base.clone()
-        },
-        LockSpaceConfig {
-            flush: FlushPolicy::Adaptive {
-                target_per_dst: 2.0,
-                max_window: 8,
-            },
-            ..base.clone()
-        },
+        base.clone(),
         LockSpaceConfig {
             batching: false,
             ..base
@@ -318,15 +294,15 @@ fn golden_scenario_per_key_trace_is_flush_policy_invariant() {
         let trace = per_key_trace(&monitor, keys);
         assert_eq!(
             trace, GOLDEN_PER_KEY_TRACE,
-            "per-key trace drifted under {:?} (batching: {})",
-            config.flush, config.batching
+            "per-key trace drifted (batching: {})",
+            config.batching
         );
     }
 }
 
 /// Per-key `(requests, REQUESTs, PRIVILEGEs, grants)` of the golden
 /// keyed scenario. These are a function of the DAG algorithm and the
-/// schedule alone; no flush policy may move them.
+/// schedule alone; batching may not move them.
 const GOLDEN_PER_KEY_TRACE: [(u64, u64, u64, u64); 6] = [
     (3, 6, 2, 3),
     (3, 5, 2, 3),

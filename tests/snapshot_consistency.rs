@@ -3,9 +3,8 @@
 //! Property: a [`LockService::snapshot`] taken while client threads
 //! hammer the space — on a [`LockSpaceCluster`] over channels or a
 //! [`TcpCluster`] over sockets — is a *consistent* global state — every key
-//! shows exactly one privilege across node tables, staged transports,
-//! and per-channel recordings (plus the implicit token of an untouched
-//! hub), and the recordings themselves respect the marker protocol (a
+//! shows exactly one privilege across node tables and per-channel
+//! recordings (plus the implicit token of an untouched hub), and the recordings themselves respect the marker protocol (a
 //! node never records its own channel, and every channel's recording is
 //! closed by the time the cut is returned).
 //!
@@ -19,7 +18,7 @@
 //! [`LockSpaceSnapshot::verify`]: dmx_runtime::LockSpaceSnapshot::verify
 
 use dmx_core::{DagMessage, LockId};
-use dmx_lockspace::{FlushPolicy, Placement};
+use dmx_lockspace::Placement;
 use dmx_runtime::tcp::TcpCluster;
 use dmx_runtime::{LockClient, LockService, LockSpaceCluster, LockSpaceClusterConfig};
 use dmx_topology::{NodeId, Tree};
@@ -51,10 +50,7 @@ fn storm_with_snapshots(
         let summary = snapshot
             .verify()
             .map_err(|v| TestCaseError::fail(format!("inconsistent cut: {v:?}")))?;
-        prop_assert_eq!(
-            summary.staged_messages + summary.recorded_messages,
-            snapshot.in_flight_messages()
-        );
+        prop_assert_eq!(summary.recorded_messages, snapshot.in_flight_messages());
 
         // Recount the privilege ledger from the raw slices.
         let mut privileges = vec![0usize; keys as usize];
@@ -74,12 +70,7 @@ fn storm_with_snapshots(
                     hub_touched[kc.key.index()] = true;
                 }
             }
-            let in_flight = cut
-                .staged
-                .iter()
-                .map(|(_, msg)| msg)
-                .chain(cut.in_flight.iter().flatten());
-            for msg in in_flight {
+            for msg in cut.in_flight.iter().flatten() {
                 if matches!(msg.msg, DagMessage::Privilege) {
                     privileges[msg.lock.index()] += 1;
                 }
@@ -107,7 +98,6 @@ proptest! {
         n in 3usize..7,
         keys in 1u32..10,
         workers in 1usize..3,
-        window in 1u64..5,
         rounds in 4u32..24,
         snapshots in 1usize..4,
         over_tcp in any::<bool>(),
@@ -129,7 +119,7 @@ proptest! {
                 keys,
                 placement: Placement::Modulo,
                 workers,
-                flush: FlushPolicy::Window(window),
+                ..LockSpaceClusterConfig::default()
             };
             let (cluster, clients) = LockSpaceCluster::start_with(&tree, config.clone());
             storm_with_snapshots(cluster, clients, config.placement, rounds, snapshots)?;
